@@ -7,26 +7,38 @@ flux control g minimizing
 
 where u_i are the subdomain solutions driven by +/- g and the norms use the
 interface mass matrix. The minimization runs gradient descent with an
-adaptive step: a trial update that increases J is rejected and the step
-halved, reusing the already computed descent direction. The gradient is
-delta g + (T_1 mu_1 - T_2 mu_2) with mu_i solving the adjoint systems, which
-are exact transposes of the state systems, so the analytic gradient matches
-the discrete objective to roundoff.
+adaptive step: a trial update that increases J, or whose J is not finite, is
+rejected and the step halved, reusing the already computed descent
+direction. The gradient is delta g + (T_1 mu_1 - T_2 mu_2) with mu_i solving
+the adjoint systems, which are exact transposes of the state systems, so the
+analytic gradient matches the discrete objective to roundoff.
 
-Subdomain models are interchangeable: full-order or reduced state solvers on
-either side, full-order or reduced adjoint solvers. Backends expose solve,
-trace and advance so the descent loop never branches on model type.
+Within one timestep each state is affine in the control and each adjoint is
+linear in the interface jump (the Steklov-Poincare view of the interface):
+
+    u_i(g) = u_i(0) + sign_i Z_i g,    Z_i = A_i^{-1} M_g0,i
+    mu_i   = sign_i Y_i jump,          Y_i = A_i^{-T} M_g0,i
+
+so the jump is j0 + R g and the adjoint trace difference is G jump, with
+R = sign_1 T_1 Z_1 - sign_2 T_2 Z_2 and G = sign_1 T_1 Y_1 - sign_2 T_2 Y_2.
+An InterfaceResponse holds Z_i and Y_i of one side; its state half and its
+adjoint half each come from a full-order or a reduced model. Cost model: per
+side, one multi-column solve per run for Z_i and one for Y_i, and one sparse
+(or reduced) solve per timestep for u_i(0); every descent trial is a few
+n_control x n_control matvecs.
 """
 
 from __future__ import annotations
 
+import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from obcoupling import assembly, rom
-from obcoupling.fom import ProblemSpec, adjoint_solve, state_step
+from obcoupling.fom import ProblemSpec, adjoint_solve, sign_of, state_step
 from obcoupling.geometry import build_mesh, decompose
 
 
@@ -96,124 +108,88 @@ def control_gradient(mu_1: np.ndarray, mu_2: np.ndarray, g: np.ndarray, delta: f
     return delta * g + (mu_1[trace_free_1] - mu_2[trace_free_2])
 
 
-class FomStateBackend:
-    """Full-order subdomain state solver for the descent loop."""
+class InterfaceResponse:
+    """How one subdomain answers the interface control within a timestep.
 
-    def __init__(self, ops: assembly.OperatorSet, u0_free: np.ndarray,
-                 trace_free: np.ndarray, load=None):
-        self.ops = ops
-        self.side = ops.side
-        self.trace_free = trace_free
-        self._load = load          # callable n -> free-DOF load, or None
-        self.u_prev = np.array(u0_free, dtype=np.float64)
-        self._f_now = None
+    ``state`` and ``adjoint`` are each an OperatorSet (full order) or a
+    ReducedOperatorSet (reduced), so the two halves of a side may come from
+    different models. States are held in the state model's coordinates:
+    free-DOF values or reduced coefficients. ``load(n)`` gives a full-order
+    state's free-DOF load; a reduced state reads its own load table.
+    """
 
-    @property
-    def n_free(self) -> int:
-        return self.ops.n_free
+    def __init__(self, side: int, state, adjoint, trace_free: np.ndarray, load=None):
+        self.side = side
+        self.sign = sign_of(side)
+        self._state = state
+        self._adjoint = adjoint
+        self._trace_free = trace_free
+        self._load = load
+        self._reduced_state = isinstance(state, rom.ReducedOperatorSet)
+        self._reduced_adjoint = isinstance(adjoint, rom.ReducedOperatorSet)
+        if self._reduced_state:
+            self.Z = scipy.linalg.lu_solve(state.state_lu(), state.PsiT_Mg0)
+        else:
+            self.Z = state.state_factor().solve(state.M_g0.toarray())
+        if self._reduced_adjoint:
+            self.Y = scipy.linalg.lu_solve(adjoint.adjoint_lu(), adjoint.PsiT_mu_Mg0)
+            trace_Y = adjoint.trace_mu @ self.Y
+        else:
+            self.Y = adjoint.adjoint_factor().solve(adjoint.M_g0.toarray())
+            trace_Y = self.Y[trace_free]
+        # this side's signed shares of R and G
+        self.trace_Z = self.sign * self.trace(self.Z)
+        self.trace_Y = self.sign * trace_Y
 
-    def set_step(self, n: int):
-        self._f_now = None if self._load is None else self._load(n)
-
-    def solve(self, g: np.ndarray) -> np.ndarray:
-        return state_step(self.ops, self.u_prev, g, self._f_now, self.side)
-
-    def trace(self, u: np.ndarray) -> np.ndarray:
-        return u[self.trace_free]
-
-    def advance(self, u: np.ndarray):
-        self.u_prev = u
+    def from_free(self, u_free: np.ndarray) -> np.ndarray:
+        """State-model coordinates of a free-DOF state."""
+        if self._reduced_state:
+            return self._state.Psi_u.T @ u_free
+        return np.array(u_free, dtype=np.float64)
 
     def to_free(self, u: np.ndarray) -> np.ndarray:
-        return u
+        return self._state.lift(u) if self._reduced_state else u
 
-    def initial_free(self) -> np.ndarray:
-        return self.u_prev
+    def trace(self, u: np.ndarray) -> np.ndarray:
+        """Control-ordered interface values of a state (or of Z's columns)."""
+        return self._state.trace_u @ u if self._reduced_state else u[self._trace_free]
 
+    def zero_control_step(self, u_prev: np.ndarray, n: int) -> np.ndarray:
+        """State u(0) of timestep n: the side's one solve per timestep."""
+        if self._reduced_state:
+            return rom.rom_state_step(self._state, u_prev, None, self.side, n)
+        f = None if self._load is None else self._load(n)
+        return state_step(self._state, u_prev, None, f, self.side)
 
-class RomStateBackend:
-    """Reduced subdomain state solver for the descent loop."""
+    def state(self, u_zero: np.ndarray, g: np.ndarray) -> np.ndarray:
+        """State at control g from the step's u(0)."""
+        return u_zero + self.sign * (self.Z @ g)
 
-    def __init__(self, rops: rom.ReducedOperatorSet, u0_free: np.ndarray):
-        self.rops = rops
-        self.side = rops.side
-        self.uhat_prev = rops.Psi_u.T @ np.asarray(u0_free, dtype=np.float64)
-        self._n = 0
-
-    @property
-    def n_modes(self) -> int:
-        return self.rops.n_modes_u
-
-    def set_step(self, n: int):
-        self._n = n
-
-    def solve(self, g: np.ndarray) -> np.ndarray:
-        return rom.rom_state_step(self.rops, self.uhat_prev, g, self.side, self._n)
-
-    def trace(self, uhat: np.ndarray) -> np.ndarray:
-        return self.rops.trace_u @ uhat
-
-    def advance(self, uhat: np.ndarray):
-        self.uhat_prev = uhat
-
-    def to_free(self, uhat: np.ndarray) -> np.ndarray:
-        return self.rops.lift(uhat)
-
-    def initial_free(self) -> np.ndarray:
-        return self.rops.lift(self.uhat_prev)
+    def adjoint(self, jump: np.ndarray) -> np.ndarray:
+        """Free-DOF adjoint sign Y jump, lifted on a reduced side."""
+        mu = self.sign * (self.Y @ jump)
+        return self._adjoint.lift_adjoint(mu) if self._reduced_adjoint else mu
 
 
-class FullAdjointBackend:
-    """Full-order adjoint solver; exposes the trace of the adjoint."""
+def descent_timestep(j0: np.ndarray, R: np.ndarray, G: np.ndarray, g0: np.ndarray,
+                     config: CouplingConfig, M_g, *, recorder=None,
+                     step_index: int = 0):
+    """Minimize the interface objective for one timestep in interface space.
 
-    def __init__(self, ops: assembly.OperatorSet, trace_free: np.ndarray):
-        self.ops = ops
-        self.side = ops.side
-        self.trace_free = trace_free
-        self._last = None
-
-    def solve_trace(self, jump: np.ndarray, endpoint_jump=None) -> np.ndarray:
-        self._last = adjoint_solve(self.ops, jump, self.side, endpoint_jump)
-        return self._last[self.trace_free]
-
-    def last_full(self) -> np.ndarray:
-        return self._last
-
-
-class RomAdjointBackend:
-    """Reduced adjoint solver; exposes the trace of the lifted adjoint."""
-
-    def __init__(self, rops: rom.ReducedOperatorSet):
-        self.rops = rops
-        self.side = rops.side
-        self._last = None
-
-    def solve_trace(self, jump: np.ndarray, endpoint_jump=None) -> np.ndarray:
-        self._last = rom.rom_adjoint_from_jump(self.rops, jump, self.side, endpoint_jump)
-        return self.rops.trace_mu @ self._last
-
-    def last_full(self) -> np.ndarray:
-        return self.rops.lift_adjoint(self._last)
-
-
-def descent_timestep(state_1, state_2, adjoint_1, adjoint_2, g0: np.ndarray,
-                     config: CouplingConfig, M_g, *, endpoint_jump=None,
-                     recorder=None, step_index: int = 0):
-    """Minimize the interface objective for one timestep.
-
-    Returns (g, u_1, u_2, stats) with the accepted control and the subdomain
-    states at that control. A rejected trial halves the step and retries with
-    the same descent direction; adjoints are recomputed only after accepts.
-    ``recorder(step_index, mu_1, mu_2)`` is invoked for every adjoint pair.
+    The jump at control g is j0 + R g and the adjoint trace difference of a
+    jump is G jump (see the module docstring). Returns (g, stats) with the
+    accepted control. A trial that increases J, or whose J is not finite, is
+    rejected: the step halves and the same direction is retried; directions
+    are recomputed only after accepts. An accepted trial that leaves g
+    bitwise unchanged ends the step unconverged, since no later trial can
+    move it. ``recorder(step_index, jump)`` is invoked for every direction.
     """
     t_start = time.perf_counter()
     delta, tol = config.delta, config.tol
     alpha = config.alpha0
 
     g = np.array(g0, dtype=np.float64)
-    u_1 = state_1.solve(g)
-    u_2 = state_2.solve(g)
-    jump = state_1.trace(u_1) - state_2.trace(u_2)
+    jump = j0 + R @ g
     obj = _objective_from_jump(jump, g, delta, M_g)
 
     iterations = 0
@@ -224,27 +200,25 @@ def descent_timestep(state_1, state_2, adjoint_1, adjoint_2, g0: np.ndarray,
 
     while obj >= tol and iterations < config.max_iters:
         if trace_diff is None:
-            t_1 = adjoint_1.solve_trace(jump, endpoint_jump)
-            t_2 = adjoint_2.solve_trace(jump, endpoint_jump)
+            trace_diff = G @ jump
             directions += 1
             if recorder is not None:
-                recorder(step_index, adjoint_1.last_full(), adjoint_2.last_full())
-            trace_diff = t_1 - t_2
+                recorder(step_index, jump)
 
         g_try = (1.0 - alpha * delta) * g - alpha * trace_diff
-        u_1_try = state_1.solve(g_try)
-        u_2_try = state_2.solve(g_try)
-        jump_try = state_1.trace(u_1_try) - state_2.trace(u_2_try)
+        jump_try = j0 + R @ g_try
         obj_try = _objective_from_jump(jump_try, g_try, delta, M_g)
         iterations += 1
 
-        if obj_try > obj:
+        if obj_try > obj or not math.isfinite(obj_try):
             # reject: halve the step, keep the current iterate and direction
             alpha *= 0.5
             reductions += 1
             continue
+        if np.array_equal(g_try, g):
+            break  # the step fell below roundoff: g can no longer move
 
-        g, u_1, u_2, jump, obj = g_try, u_1_try, u_2_try, jump_try, obj_try
+        g, jump, obj = g_try, jump_try, obj_try
         trace_diff = None
         if accepted is not None:
             accepted.append(obj)
@@ -253,7 +227,7 @@ def descent_timestep(state_1, state_2, adjoint_1, adjoint_2, g0: np.ndarray,
         step=step_index, iterations=iterations, directions=directions,
         alpha_reductions=reductions, objective=obj, converged=bool(obj < tol),
         wall_time=time.perf_counter() - t_start, accepted_objectives=accepted)
-    return g, u_1, u_2, stats
+    return g, stats
 
 
 @dataclass
@@ -294,53 +268,55 @@ def make_loads(problem: ProblemSpec, dec, side: int):
     return load
 
 
+def require_homogeneous_walls(problem: ProblemSpec):
+    """Reject Dirichlet data: coupled runs and collectors assume beta = 0."""
+    if problem.beta is not None:
+        raise ValueError("coupled runs support homogeneous Dirichlet data only: "
+                         "problem.beta must be None")
+
+
 def run_transient(problem: ProblemSpec, config: CouplingConfig, *,
                   state_rops=(None, None), adjoint_rops=(None, None),
                   recorder=None, keep_trajectories: bool = True) -> CoupledRunResult:
     """March the coupled problem from 0 to T.
 
     ``state_rops`` / ``adjoint_rops`` select the model per subdomain: a
-    ReducedOperatorSet runs that side reduced, None runs it full order.
-    Reduced and full sides mix freely. ``recorder`` is forwarded to every
-    timestep's minimization (it receives free-DOF adjoint pairs).
+    ReducedOperatorSet runs that half of the side reduced, None runs it full
+    order. Reduced and full halves mix freely. ``recorder(step, mu_1, mu_2)``
+    receives the free-DOF adjoint pair of every descent direction. The
+    problem must have homogeneous Dirichlet data (``beta`` None).
     """
+    require_homogeneous_walls(problem)
     dec = problem.decomposition
     n_steps = problem.n_steps
 
-    ops = {}
-    states = []
-    adjoints = []
+    ops = [None, None]
     for side in (1, 2):
-        needs_full = state_rops[side - 1] is None or adjoint_rops[side - 1] is None
-        op = None
-        if needs_full:
-            op = assembly.subdomain_operators(
+        if state_rops[side - 1] is None or adjoint_rops[side - 1] is None:
+            ops[side - 1] = assembly.subdomain_operators(
                 dec, side, nu=problem.nu, dt=problem.dt, advection=problem.a,
                 supg_on=config.supg_on)
-        ops[side] = op
 
-        u0_free = problem.u0[dec.node_map(side)[dec.free_nodes(side)]]
-        rops = state_rops[side - 1]
-        if rops is None:
-            states.append(FomStateBackend(op, u0_free, dec.trace_free(side),
-                                          load=make_loads(problem, dec, side)))
-        else:
-            states.append(RomStateBackend(rops, u0_free))
+    t_start = time.perf_counter()
+    sides = []
+    for side in (1, 2):
+        srops, arops, op = state_rops[side - 1], adjoint_rops[side - 1], ops[side - 1]
+        sides.append(InterfaceResponse(
+            side, op if srops is None else srops, op if arops is None else arops,
+            dec.trace_free(side), load=make_loads(problem, dec, side)))
+    first, second = sides
+    R = first.trace_Z - second.trace_Z
+    G = first.trace_Y - second.trace_Y
+    # both sides share the same interface mass matrix
+    M_g = assembly.assemble_interface_mass(dec, 1)[1].toarray()
 
-        arops = adjoint_rops[side - 1]
-        if arops is None:
-            adjoints.append(FullAdjointBackend(op, dec.trace_free(side)))
-        else:
-            adjoints.append(RomAdjointBackend(arops))
+    on_direction = None
+    if recorder is not None:
+        def on_direction(step, jump):
+            recorder(step, first.adjoint(jump), second.adjoint(jump))
 
-    # Both sides share the same interface mass matrix.
-    if ops[1] is not None:
-        M_g = ops[1].M_g
-    elif ops[2] is not None:
-        M_g = ops[2].M_g
-    else:
-        M_g = assembly.assemble_interface_mass(dec, 1)[1]
-
+    u = [s.from_free(problem.u0[dec.node_map(s.side)[dec.free_nodes(s.side)]])
+         for s in sides]
     n_control = dec.n_control
     controls = np.zeros((n_control, n_steps + 1))
     stats: list[IterationStats] = []
@@ -349,33 +325,27 @@ def run_transient(problem: ProblemSpec, config: CouplingConfig, *,
     if keep_trajectories:
         traj_1 = np.empty((dec.free_nodes(1).size, n_steps + 1), order="F")
         traj_2 = np.empty((dec.free_nodes(2).size, n_steps + 1), order="F")
-        traj_1[:, 0] = states[0].initial_free()
-        traj_2[:, 0] = states[1].initial_free()
+        traj_1[:, 0] = first.to_free(u[0])
+        traj_2[:, 0] = second.to_free(u[1])
 
     g = np.zeros(n_control)
-    u_1 = u_2 = None
-    t_start = time.perf_counter()
     for n in range(1, n_steps + 1):
-        states[0].set_step(n)
-        states[1].set_step(n)
+        u_zero = [s.zero_control_step(u_i, n) for s, u_i in zip(sides, u)]
+        j0 = first.trace(u_zero[0]) - second.trace(u_zero[1])
         g0 = g if config.warm_start else np.zeros(n_control)
-        g, u_1, u_2, st = descent_timestep(
-            states[0], states[1], adjoints[0], adjoints[1], g0, config, M_g,
-            recorder=recorder, step_index=n)
-        states[0].advance(u_1)
-        states[1].advance(u_2)
+        g, st = descent_timestep(j0, R, G, g0, config, M_g,
+                                 recorder=on_direction, step_index=n)
+        u = [s.state(u_i, g) for s, u_i in zip(sides, u_zero)]
         controls[:, n] = g
         stats.append(st)
         if keep_trajectories:
-            traj_1[:, n] = states[0].to_free(u_1)
-            traj_2[:, n] = states[1].to_free(u_2)
+            traj_1[:, n] = first.to_free(u[0])
+            traj_2[:, n] = second.to_free(u[1])
     wall = time.perf_counter() - t_start
 
-    if u_1 is None:  # n_steps >= 1 is enforced by ProblemSpec
-        raise RuntimeError("transient run performed no steps")
     return CoupledRunResult(
         control=Control(values=controls, dt=problem.dt), stats=stats,
-        final_1=states[0].to_free(u_1), final_2=states[1].to_free(u_2),
+        final_1=first.to_free(u[0]), final_2=second.to_free(u[1]),
         traj_1=traj_1, traj_2=traj_2, wall_time=wall)
 
 

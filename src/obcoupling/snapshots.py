@@ -84,7 +84,7 @@ def collect_gdra(problem: ProblemSpec, config: coupling.CouplingConfig) -> Snaps
 
     Records the free-DOF adjoint pair of every descent direction computed
     during the transient solve (timesteps already below tolerance contribute
-    nothing).
+    nothing). Like the run itself, it rejects Dirichlet data (``beta``).
     """
     cols_1: list[np.ndarray] = []
     cols_2: list[np.ndarray] = []
@@ -149,8 +149,10 @@ def collect_mgd(problem: ProblemSpec, states: SnapshotStore, m: int,
 
     ``states`` must hold the subdomain state histories (keys state_1 and
     state_2, one column per time level). Yields exactly m pairs per timestep
-    regardless of worker count, in timestep-major column order.
+    regardless of worker count, in timestep-major column order. The problem
+    must have homogeneous Dirichlet data (``beta`` None).
     """
+    coupling.require_homogeneous_walls(problem)
     if m < 1:
         raise ValueError("m must be at least 1")
     if workers < 1:

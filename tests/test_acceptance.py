@@ -11,9 +11,12 @@ are repeated in the pytest terminal summary.
 from dataclasses import replace
 
 import numpy as np
+import pytest
 
 import conftest
 from obcoupling import assembly, bench, coupling, fom, rom, snapshots
+
+pytestmark = pytest.mark.slow
 
 
 def record(num: int, name: str, ok: bool, detail: str) -> str:
