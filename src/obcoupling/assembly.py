@@ -70,8 +70,7 @@ def _shape_gradients(xi: float, eta: float) -> np.ndarray:
 class OperatorSet:
     """Assembled operators for one mesh, restricted to its free DOFs.
 
-    The free-by-Dirichlet coupling blocks (suffix _fd) support Dirichlet
-    lifting; interface fields are present only for decomposed subdomains.
+    Interface fields are present only for decomposed subdomains.
     Factorizations of the state and adjoint systems are built once on first
     use and reused for every timestep and descent iteration.
     """
@@ -89,12 +88,8 @@ class OperatorSet:
     A: sp.csr_matrix
     S_state: sp.csr_matrix
     S_adjoint: sp.csr_matrix
-    M_fd: sp.csr_matrix
-    K_fd: sp.csr_matrix
-    A_fd: sp.csr_matrix
     M_g0: sp.csr_matrix | None = None   # (n_free, n_control) interface mass
     M_g: sp.csr_matrix | None = None    # (n_control, n_control) control mass
-    W_end: sp.csr_matrix | None = None  # (n_free, 2) endpoint-hat coupling
     _state_fact: linalg.Factorization | None = field(default=None, repr=False)
     _adjoint_fact: linalg.Factorization | None = field(default=None, repr=False)
 
@@ -189,8 +184,8 @@ def assemble_operators(mesh: Mesh, dirichlet_nodes: np.ndarray, *, nu: float,
                        side: int = 0) -> OperatorSet:
     """Assemble all volume operators, restricted to the free DOFs.
 
-    ``dirichlet_nodes`` lists the strongly constrained nodes; rows and columns
-    are eliminated, with the free-by-Dirichlet blocks retained for lifting.
+    ``dirichlet_nodes`` lists the strongly constrained (zero) nodes; their
+    rows and columns are eliminated.
     """
     if nu < 0 or dt <= 0:
         raise ValueError("need nu >= 0 and dt > 0")
@@ -204,29 +199,23 @@ def assemble_operators(mesh: Mesh, dirichlet_nodes: np.ndarray, *, nu: float,
     node_to_free[free] = np.arange(free.size)
 
     def restrict(mat):
-        return mat[free][:, free].tocsr(), mat[free][:, dirichlet_nodes].tocsr()
+        return mat[free][:, free].tocsr()
 
-    M_ff, M_fd = restrict(M)
-    K_ff, K_fd = restrict(K)
-    A_ff, A_fd = restrict(A)
-    S_ff, _ = restrict(S)
+    S_ff = restrict(S)
 
     return OperatorSet(
         mesh=mesh, nu=nu, dt=dt, side=side, supg_on=supg_on,
         free_nodes=free, node_to_free=node_to_free,
         dirichlet_nodes=dirichlet_nodes,
-        M=M_ff, K=K_ff, A=A_ff,
-        S_state=S_ff, S_adjoint=S_ff.T.tocsr(),
-        M_fd=M_fd, K_fd=K_fd, A_fd=A_fd)
+        M=restrict(M), K=restrict(K), A=restrict(A),
+        S_state=S_ff, S_adjoint=S_ff.T.tocsr())
 
 
 def assemble_interface_mass(dec: Decomposition, side: int):
     """Interface mass matrices for one subdomain.
 
-    Returns (M_g0, M_g, W_end): M_g0 pairs the control hats with the
-    subdomain's free trace hats, M_g is the control-space 1D mass, and W_end
-    couples the two Dirichlet interface endpoints to the free interface rows
-    (used by the Dirichlet-lifting correction of the adjoint right-hand side).
+    Returns (M_g0, M_g): M_g0 pairs the control hats with the subdomain's
+    free trace hats, and M_g is the control-space 1D mass.
     """
     sub = dec.sub(side)
     iface = dec.interface_nodes_1 if side == 1 else dec.interface_nodes_2
@@ -238,7 +227,6 @@ def assemble_interface_mass(dec: Decomposition, side: int):
     edge = hy / 6.0 * np.array([[2.0, 1.0], [1.0, 2.0]])
     rows_g0, cols_g0, vals_g0 = [], [], []
     rows_g, cols_g, vals_g = [], [], []
-    rows_w, cols_w, vals_w = [], [], []
 
     for e in range(ny):
         pair = (iface[e], iface[e + 1])
@@ -253,10 +241,6 @@ def assemble_interface_mass(dec: Decomposition, side: int):
                     rows_g0.append(fr)
                     cols_g0.append(cpos - 1)
                     vals_g0.append(edge[r, c])
-                else:
-                    rows_w.append(fr)
-                    cols_w.append(0 if cpos == 0 else 1)
-                    vals_w.append(edge[r, c])
         for r in range(2):
             rpos = pos[r]
             if not 1 <= rpos <= ny - 1:
@@ -271,8 +255,7 @@ def assemble_interface_mass(dec: Decomposition, side: int):
     n_free = dec.free_nodes(side).size
     M_g0 = linalg.from_triplets(n_free, n_control, rows_g0, cols_g0, vals_g0)
     M_g = linalg.from_triplets(n_control, n_control, rows_g, cols_g, vals_g)
-    W_end = linalg.from_triplets(n_free, 2, rows_w, cols_w, vals_w)
-    return M_g0, M_g, W_end
+    return M_g0, M_g
 
 
 def subdomain_operators(dec: Decomposition, side: int, *, nu: float, dt: float,
@@ -281,7 +264,7 @@ def subdomain_operators(dec: Decomposition, side: int, *, nu: float, dt: float,
     ops = assemble_operators(dec.sub(side), dec.dirichlet_nodes(side), nu=nu,
                              dt=dt, advection=advection, supg_on=supg_on,
                              side=side)
-    ops.M_g0, ops.M_g, ops.W_end = assemble_interface_mass(dec, side)
+    ops.M_g0, ops.M_g = assemble_interface_mass(dec, side)
     return ops
 
 

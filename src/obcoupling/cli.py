@@ -121,9 +121,19 @@ def cmd_collect_adjoint(args) -> int:
     else:
         if args.state_store is None:
             return _fail("--method mgd requires --state-store")
-        states = snapshots.read_store(args.state_store)
-        store = snapshots.collect_mgd(problem, states, args.m, config,
-                                      workers=spec.mgd_workers)
+        try:
+            states = snapshots.read_store(args.state_store)
+            run = {"level": spec.level, "nu": spec.nu, "dt": problem.dt,
+                   "supg_on": spec.supg_on}
+            for key, value in run.items():
+                if key in states.meta and states.meta[key] != value:
+                    return _fail(f"state store {args.state_store} was written "
+                                 f"with {key}={states.meta[key]!r}, this run "
+                                 f"has {key}={value!r}")
+            store = snapshots.collect_mgd(problem, states, args.m, config,
+                                          workers=spec.mgd_workers)
+        except ValueError as exc:
+            return _fail(str(exc))
     snapshots.write_store(store, args.out)
     print(f"{args.method}: {store.meta['n_pairs']} adjoint pairs written to {args.out}")
     return 0
@@ -167,8 +177,10 @@ def cmd_couple(args) -> int:
         label=f"{args.state}/{args.adjoint}", state_modes=state_modes,
         adjoint_modes=adjoint_modes,
         adjoint_source=adjoint_source or "mgd1")
-    ctx = bench.ExperimentContext(spec)
-    row, result = ctx.run_entry(entry)
+    try:
+        row, _ = bench.ExperimentContext(spec).run_entry(entry)
+    except ValueError as exc:  # e.g. more modes than snapshots
+        return _fail(str(exc))
 
     print(f"{row.label}: rel L2 {row.rel_l2:.6e}, rel H1 {row.rel_h1:.6e}, "
           f"avg iterations {row.avg_iterations:.2f}, "
@@ -185,7 +197,10 @@ def cmd_couple(args) -> int:
 
 def cmd_report(args) -> int:
     spec = _benchmark_spec(args)
-    rows = bench.run_experiment(spec, bench.standard_entries(), args.out)
+    try:
+        rows = bench.run_experiment(spec, bench.standard_entries(), args.out)
+    except ValueError as exc:  # e.g. too few snapshots for 100 modes
+        return _fail(str(exc))
     for row in rows:
         print(f"{row.label}: rel L2 {row.rel_l2:.6e}, "
               f"avg iterations {row.avg_iterations:.2f}")
@@ -341,11 +356,34 @@ def _apply_config(argv: list[str], parser, table) -> None:
     if command not in table:
         parser.error("config requires a subcommand")
     sub = table[command]
-    known = {action.dest for action in sub._actions}
-    unknown = set(values) - known
+    known = {action.dest: action for action in sub._actions}
+    unknown = set(values) - set(known)
     if unknown:
         parser.error(f"config keys not accepted by {command}: {sorted(unknown)}")
+    for key, value in values.items():
+        want = _config_type_mismatch(known[key], value)
+        if want is not None:
+            parser.error(f"config key {key!r} of {command} expects {want}, "
+                         f"got {json.dumps(value)}")
     sub.set_defaults(**values)
+
+
+def _config_type_mismatch(action, value) -> str | None:
+    """What a flag expects if a JSON config value does not fit it, else None."""
+    if value is None:
+        return None if action.default is None else "a value, not null"
+    is_number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if action.nargs == 0:
+        ok, want = isinstance(value, bool), "true or false"
+    elif action.choices is not None:
+        ok, want = value in action.choices, f"one of {list(action.choices)}"
+    elif action.type is int:
+        ok, want = is_number and isinstance(value, int), "an integer"
+    elif action.type is float:
+        ok, want = is_number, "a number"
+    else:
+        ok, want = isinstance(value, str), "a string"
+    return None if ok else want
 
 
 def main(argv=None) -> int:

@@ -114,8 +114,8 @@ class InterfaceResponse:
     ``state`` and ``adjoint`` are each an OperatorSet (full order) or a
     ReducedOperatorSet (reduced), so the two halves of a side may come from
     different models. States are held in the state model's coordinates:
-    free-DOF values or reduced coefficients. ``load(n)`` gives a full-order
-    state's free-DOF load; a reduced state reads its own load table.
+    free-DOF values or reduced coefficients. ``load(n)`` gives the side's
+    free-DOF load at timestep n, projected onto Psi_u on a reduced side.
     """
 
     def __init__(self, side: int, state, adjoint, trace_free: np.ndarray, load=None):
@@ -142,7 +142,7 @@ class InterfaceResponse:
         self.trace_Y = self.sign * trace_Y
 
     def from_free(self, u_free: np.ndarray) -> np.ndarray:
-        """State-model coordinates of a free-DOF state."""
+        """State-model coordinates of a free-DOF vector: Psi_u^T v if reduced."""
         if self._reduced_state:
             return self._state.Psi_u.T @ u_free
         return np.array(u_free, dtype=np.float64)
@@ -156,10 +156,9 @@ class InterfaceResponse:
 
     def zero_control_step(self, u_prev: np.ndarray, n: int) -> np.ndarray:
         """State u(0) of timestep n: the side's one solve per timestep."""
-        if self._reduced_state:
-            return rom.rom_state_step(self._state, u_prev, None, self.side, n)
-        f = None if self._load is None else self._load(n)
-        return state_step(self._state, u_prev, None, f, self.side)
+        f = None if self._load is None else self.from_free(self._load(n))
+        step = rom.rom_state_step if self._reduced_state else state_step
+        return step(self._state, u_prev, None, f, self.side)
 
     def state(self, u_zero: np.ndarray, g: np.ndarray) -> np.ndarray:
         """State at control g from the step's u(0)."""
@@ -268,13 +267,6 @@ def make_loads(problem: ProblemSpec, dec, side: int):
     return load
 
 
-def require_homogeneous_walls(problem: ProblemSpec):
-    """Reject Dirichlet data: coupled runs and collectors assume beta = 0."""
-    if problem.beta is not None:
-        raise ValueError("coupled runs support homogeneous Dirichlet data only: "
-                         "problem.beta must be None")
-
-
 def run_transient(problem: ProblemSpec, config: CouplingConfig, *,
                   state_rops=(None, None), adjoint_rops=(None, None),
                   recorder=None, keep_trajectories: bool = True) -> CoupledRunResult:
@@ -283,10 +275,8 @@ def run_transient(problem: ProblemSpec, config: CouplingConfig, *,
     ``state_rops`` / ``adjoint_rops`` select the model per subdomain: a
     ReducedOperatorSet runs that half of the side reduced, None runs it full
     order. Reduced and full halves mix freely. ``recorder(step, mu_1, mu_2)``
-    receives the free-DOF adjoint pair of every descent direction. The
-    problem must have homogeneous Dirichlet data (``beta`` None).
+    receives the free-DOF adjoint pair of every descent direction.
     """
-    require_homogeneous_walls(problem)
     dec = problem.decomposition
     n_steps = problem.n_steps
 

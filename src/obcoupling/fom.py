@@ -26,7 +26,10 @@ from obcoupling.geometry import Decomposition, Mesh
 
 @dataclass(frozen=True)
 class ProblemSpec:
-    """Transient advection-diffusion transmission problem on a split rectangle."""
+    """Transient advection-diffusion transmission problem on a split rectangle.
+
+    The outer walls carry homogeneous Dirichlet data.
+    """
 
     decomposition: Decomposition
     nu: float
@@ -35,7 +38,6 @@ class ProblemSpec:
     u0: np.ndarray     # nodal initial condition on the parent mesh (all nodes)
     dt: float
     T: float
-    beta: object = None  # Dirichlet boundary value (x, y, t) -> value, or None
 
     @property
     def mesh(self) -> Mesh:
@@ -69,11 +71,6 @@ def sign_of(side: int) -> float:
     return -1.0 if side == 1 else 1.0
 
 
-def _dirichlet_history(ops: assembly.OperatorSet, beta, t: float) -> np.ndarray:
-    coords = ops.mesh.coords[ops.dirichlet_nodes]
-    return np.asarray(beta(coords[:, 0], coords[:, 1], t), dtype=np.float64)
-
-
 def monolithic_solve(problem: ProblemSpec, *, supg_on: bool = False) -> Trajectory:
     """March the undecomposed problem over [0, T]; reference for all couplings."""
     mesh = problem.mesh
@@ -87,18 +84,11 @@ def monolithic_solve(problem: ProblemSpec, *, supg_on: bool = False) -> Trajecto
     data = np.empty((u.size, n_steps + 1), order="F")
     data[:, 0] = u
 
-    beta_prev = (_dirichlet_history(ops, problem.beta, 0.0)
-                 if problem.beta is not None else None)
     for n in range(1, n_steps + 1):
         t = n * problem.dt
         rhs = ops.M @ u / problem.dt
         if problem.f is not None:
             rhs += assembly.assemble_load(mesh, ops.free_nodes, problem.f, t)
-        if problem.beta is not None:
-            beta_now = _dirichlet_history(ops, problem.beta, t)
-            rhs -= (problem.nu * ops.K_fd + ops.A_fd) @ beta_now
-            rhs -= ops.M_fd @ (beta_now - beta_prev) / problem.dt
-            beta_prev = beta_now
         u = fact.solve(rhs)
         data[:, n] = u
     return Trajectory(data=data, dt=problem.dt, free_nodes=ops.free_nodes)
@@ -115,18 +105,13 @@ def state_step(ops: assembly.OperatorSet, u_prev: np.ndarray, g: np.ndarray,
     return ops.state_factor().solve(rhs)
 
 
-def adjoint_solve(ops: assembly.OperatorSet, jump: np.ndarray, side: int,
-                  endpoint_jump: np.ndarray | None = None) -> np.ndarray:
+def adjoint_solve(ops: assembly.OperatorSet, jump: np.ndarray, side: int) -> np.ndarray:
     """Adjoint of the trace mismatch: no history, transposed state operator.
 
     ``jump`` holds the control-ordered coefficients of (u_1 - u_2) on the
-    interface; ``endpoint_jump`` optionally adds the Dirichlet endpoint
-    mismatch (beta_1 - beta_2 at the two interface endpoints).
+    interface.
     """
-    rhs = ops.M_g0 @ jump
-    if endpoint_jump is not None:
-        rhs = rhs + ops.W_end @ np.asarray(endpoint_jump, dtype=np.float64)
-    return ops.adjoint_factor().solve(sign_of(side) * rhs)
+    return ops.adjoint_factor().solve(sign_of(side) * (ops.M_g0 @ jump))
 
 
 def modified_state_step(ops: assembly.OperatorSet, u_snap_prev: np.ndarray,

@@ -1,6 +1,6 @@
 """Sparse/dense linear algebra plumbing shared by the solver stack.
 
-SparseMatrix is scipy's CSR format; factorizations are SuperLU objects wrapped
+Sparse matrices are scipy CSR; factorizations are SuperLU objects wrapped
 so a matrix is factored once and the factorization reused across timesteps and
 descent iterations (the system matrices are time independent). The thin SVD is
 LAPACK's economy SVD and backs proper orthogonal decomposition.
@@ -11,9 +11,6 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-
-SparseMatrix = sp.csr_matrix
-DenseMatrix = np.ndarray
 
 
 class Factorization:
@@ -52,10 +49,6 @@ def from_triplets(n_rows: int, n_cols: int, rows, cols, values) -> sp.csr_matrix
 def factorize(matrix: sp.spmatrix) -> Factorization:
     """Factor a square sparse matrix once; reuse the result via .solve()."""
     return Factorization(matrix)
-
-
-def solve(factorization: Factorization, rhs: np.ndarray) -> np.ndarray:
-    return factorization.solve(rhs)
 
 
 def thin_svd(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

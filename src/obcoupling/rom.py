@@ -6,11 +6,6 @@ single SVD. Reduced operators are Galerkin projections Psi^T Op Psi under the
 state basis Psi_u for the state system and under the adjoint basis Psi_mu for
 the adjoint system, so a full orthonormal basis reproduces the corresponding
 full-order solve exactly (change of basis).
-
-Dirichlet data enters through lifting: with u = Psi u_hat + beta the reduced
-load picks up  -Psi^T M (beta^n - beta^{n-1})/dt - Psi^T (nu K + A) beta^n,
-evaluated through the free-by-Dirichlet coupling blocks. The benchmark runs
-have beta = 0, in which case every lifting term vanishes.
 """
 
 from __future__ import annotations
@@ -52,13 +47,6 @@ class ReducedBasis:
         if not 1 <= n_modes <= self.n_modes:
             raise ValueError(f"cannot truncate {self.n_modes}-mode basis to {n_modes}")
         return ReducedBasis(Psi=self.Psi[:, :n_modes], sigma=self.sigma)
-
-
-@dataclass(frozen=True)
-class LiftingVector:
-    """Dirichlet boundary values of one subdomain at one time level."""
-
-    values: np.ndarray  # beta at the subdomain's Dirichlet nodes
 
 
 def pod(snapshots, n_modes: int) -> ReducedBasis:
@@ -133,20 +121,10 @@ class ReducedOperatorSet:
     Sh_adjoint: np.ndarray
     PsiT_Mg0: np.ndarray      # (n_u, n_control)
     PsiT_mu_Mg0: np.ndarray   # (n_mu, n_control)
-    PsiT_mu_W: np.ndarray     # (n_mu, 2)
     trace_u: np.ndarray       # (n_control, n_u): control-ordered rows of Psi_u
     trace_mu: np.ndarray      # (n_control, n_mu)
-    load_series: np.ndarray | None  # (n_u, n_steps + 1) reduced loads, or None
     _state_lu: tuple | None = field(default=None, repr=False)
     _adjoint_lu: tuple | None = field(default=None, repr=False)
-
-    @property
-    def n_modes_u(self) -> int:
-        return self.Psi_u.shape[1]
-
-    @property
-    def n_modes_mu(self) -> int:
-        return self.Psi_mu.shape[1]
 
     def state_matrix(self) -> np.ndarray:
         return self.Mh / self.dt + self.nu * self.Kh + self.Ah + self.Sh_state
@@ -165,11 +143,6 @@ class ReducedOperatorSet:
             self._adjoint_lu = scipy.linalg.lu_factor(self.adjoint_matrix())
         return self._adjoint_lu
 
-    def reduced_load(self, n: int) -> np.ndarray | None:
-        if self.load_series is None:
-            return None
-        return self.load_series[:, n]
-
     def lift(self, uhat: np.ndarray) -> np.ndarray:
         """Free-DOF representation Psi_u @ uhat of a reduced state."""
         return self.Psi_u @ uhat
@@ -184,39 +157,16 @@ def _project(mat, basis: np.ndarray) -> np.ndarray:
 
 def reduce_operators(ops: assembly.OperatorSet, Psi_u: np.ndarray,
                      Psi_mu: np.ndarray | None = None, *,
-                     trace_free: np.ndarray,
-                     f_series: np.ndarray | None = None,
-                     beta_series: list[LiftingVector] | None = None) -> ReducedOperatorSet:
+                     trace_free: np.ndarray) -> ReducedOperatorSet:
     """Project one subdomain's operators onto reduced bases.
 
     ``trace_free`` gives the control-ordered free indices of the interface
-    (the interface map of the decomposition). ``f_series`` optionally holds
-    per-step free-DOF loads as columns (including the unused column 0);
-    ``beta_series`` optionally holds per-step Dirichlet values for lifting.
-    Either series triggers a precomputed reduced load table.
+    (the interface map of the decomposition).
     """
     if Psi_mu is None:
         Psi_mu = Psi_u
     if ops.M_g0 is None:
         raise ValueError("reduce_operators needs subdomain operators with interface blocks")
-
-    load_series = None
-    if f_series is not None or beta_series is not None:
-        if f_series is not None:
-            n_cols = f_series.shape[1]
-        else:
-            n_cols = len(beta_series)
-        load_series = np.zeros((Psi_u.shape[1], n_cols))
-        for n in range(1, n_cols):
-            load = np.zeros(ops.n_free)
-            if f_series is not None:
-                load = load + f_series[:, n]
-            if beta_series is not None:
-                b_now = beta_series[n].values
-                b_prev = beta_series[n - 1].values
-                load = load - ops.M_fd @ (b_now - b_prev) / ops.dt
-                load = load - (ops.nu * ops.K_fd + ops.A_fd) @ b_now
-            load_series[:, n] = Psi_u.T @ load
 
     return ReducedOperatorSet(
         side=ops.side, nu=ops.nu, dt=ops.dt, Psi_u=Psi_u, Psi_mu=Psi_mu,
@@ -226,37 +176,27 @@ def reduce_operators(ops: assembly.OperatorSet, Psi_u: np.ndarray,
         Ah_mu=_project(ops.A, Psi_mu), Sh_adjoint=_project(ops.S_adjoint, Psi_mu),
         PsiT_Mg0=(ops.M_g0.T @ Psi_u).T.copy(),
         PsiT_mu_Mg0=(ops.M_g0.T @ Psi_mu).T.copy(),
-        PsiT_mu_W=(ops.W_end.T @ Psi_mu).T.copy(),
         trace_u=Psi_u[trace_free, :].copy(),
-        trace_mu=Psi_mu[trace_free, :].copy(),
-        load_series=load_series)
+        trace_mu=Psi_mu[trace_free, :].copy())
 
 
 def rom_state_step(rops: ReducedOperatorSet, uhat_prev: np.ndarray,
-                   g: np.ndarray, side: int, n: int = 0) -> np.ndarray:
-    """One reduced implicit Euler step with interface control g."""
+                   g: np.ndarray, f_hat: np.ndarray | None, side: int) -> np.ndarray:
+    """One reduced implicit Euler step with interface control g.
+
+    ``f_hat`` is the step's projected load Psi_u^T f, or None.
+    """
     rhs = rops.Mh @ uhat_prev / rops.dt
-    load = rops.reduced_load(n)
-    if load is not None:
-        rhs = rhs + load
+    if f_hat is not None:
+        rhs = rhs + f_hat
     if g is not None:
         rhs = rhs + sign_of(side) * (rops.PsiT_Mg0 @ g)
     return scipy.linalg.lu_solve(rops.state_lu(), rhs)
 
 
-def rom_adjoint_from_jump(rops: ReducedOperatorSet, jump: np.ndarray, side: int,
-                          endpoint_jump: np.ndarray | None = None) -> np.ndarray:
+def rom_adjoint_from_jump(rops: ReducedOperatorSet, jump: np.ndarray,
+                          side: int) -> np.ndarray:
     """Reduced adjoint solve from a control-ordered interface jump."""
-    rhs = rops.PsiT_mu_Mg0 @ jump
-    if endpoint_jump is not None:
-        rhs = rhs + rops.PsiT_mu_W @ np.asarray(endpoint_jump, dtype=np.float64)
-    return scipy.linalg.lu_solve(rops.adjoint_lu(), sign_of(side) * rhs)
+    return scipy.linalg.lu_solve(rops.adjoint_lu(),
+                                 sign_of(side) * (rops.PsiT_mu_Mg0 @ jump))
 
-
-def rom_adjoint_solve(rops_1: ReducedOperatorSet, rops_2: ReducedOperatorSet,
-                      uhat_1: np.ndarray, uhat_2: np.ndarray, side: int,
-                      endpoint_jump: np.ndarray | None = None) -> np.ndarray:
-    """Reduced adjoint of the trace mismatch between two reduced states."""
-    jump = rops_1.trace_u @ uhat_1 - rops_2.trace_u @ uhat_2
-    rops = rops_1 if side == 1 else rops_2
-    return rom_adjoint_from_jump(rops, jump, side, endpoint_jump)

@@ -84,7 +84,7 @@ def collect_gdra(problem: ProblemSpec, config: coupling.CouplingConfig) -> Snaps
 
     Records the free-DOF adjoint pair of every descent direction computed
     during the transient solve (timesteps already below tolerance contribute
-    nothing). Like the run itself, it rejects Dirichlet data (``beta``).
+    nothing).
     """
     cols_1: list[np.ndarray] = []
     cols_2: list[np.ndarray] = []
@@ -148,11 +148,10 @@ def collect_mgd(problem: ProblemSpec, states: SnapshotStore, m: int,
     """Adjoint snapshots from m descent iterations per timestep.
 
     ``states`` must hold the subdomain state histories (keys state_1 and
-    state_2, one column per time level). Yields exactly m pairs per timestep
-    regardless of worker count, in timestep-major column order. The problem
-    must have homogeneous Dirichlet data (``beta`` None).
+    state_2, one row per free DOF and one column per time level). Yields
+    exactly m pairs per timestep regardless of worker count, in
+    timestep-major column order.
     """
-    coupling.require_homogeneous_walls(problem)
     if m < 1:
         raise ValueError("m must be at least 1")
     if workers < 1:
@@ -163,6 +162,11 @@ def collect_mgd(problem: ProblemSpec, states: SnapshotStore, m: int,
     state_2 = states["state_2"].data
     if state_1.shape[1] != n_steps + 1 or state_2.shape[1] != n_steps + 1:
         raise ValueError("state snapshots do not match the problem's step count")
+    for side, data in ((1, state_1), (2, state_2)):
+        if data.shape[0] != dec.free_nodes(side).size:
+            raise ValueError(f"state_{side} snapshots have {data.shape[0]} rows, "
+                             f"the problem's subdomain {side} has "
+                             f"{dec.free_nodes(side).size} free nodes")
 
     ops_1 = assembly.subdomain_operators(dec, 1, nu=problem.nu, dt=problem.dt,
                                          advection=problem.a, supg_on=config.supg_on)

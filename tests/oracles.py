@@ -166,9 +166,8 @@ def load_dense(mesh, f, t):
     return out
 
 
-def backward_euler_dense(M, K, A, free, dirichlet, nu, dt, u0_full, n_steps,
-                         beta_fn=None, coords=None, S=None):
-    """Dense implicit Euler march on the free DOFs with optional lifting.
+def backward_euler_dense(M, K, A, free, nu, dt, u0_full, n_steps, S=None):
+    """Dense implicit Euler march on the free DOFs, zero on the rest.
 
     Matrices are full node-space; u0_full holds all nodal values. Returns
     the free-DOF trajectory including the initial column.
@@ -179,19 +178,7 @@ def backward_euler_dense(M, K, A, free, dirichlet, nu, dt, u0_full, n_steps,
     M_ff = M[np.ix_(free, free)]
     u = np.asarray(u0_full, dtype=float)[free]
     out = [u.copy()]
-    if beta_fn is not None:
-        bc = coords[dirichlet]
-        beta_prev = beta_fn(bc[:, 0], bc[:, 1], 0.0)
-        # lifting carries the Galerkin blocks only, not the stabilization
-        KA_fd = (nu * K + A)[np.ix_(free, dirichlet)]
-        M_fd = M[np.ix_(free, dirichlet)]
     for n in range(1, n_steps + 1):
-        rhs = M_ff @ u / dt
-        if beta_fn is not None:
-            beta_now = beta_fn(bc[:, 0], bc[:, 1], n * dt)
-            rhs -= KA_fd @ beta_now
-            rhs -= M_fd @ (beta_now - beta_prev) / dt
-            beta_prev = beta_now
-        u = np.linalg.solve(L_ff, rhs)
+        u = np.linalg.solve(L_ff, M_ff @ u / dt)
         out.append(u.copy())
     return np.array(out).T

@@ -93,6 +93,23 @@ def test_collect_adjoint_mgd(tmp_path):
                      "--out", str(tmp_path / "x")]) == 2
 
 
+@pytest.mark.parametrize("flags, field", [
+    (["--level", "10", "--nu", "1e-3", "--dt", "5e-2", "--T", "0.3"], "level"),
+    (["--level", "8", "--nu", "0.5", "--dt", "5e-2", "--T", "0.3"], "nu"),
+    ([*DESK, "--no-supg"], "supg_on"),
+])
+def test_collect_adjoint_mgd_rejects_mismatched_store(tmp_path, capsys, flags,
+                                                       field):
+    ref = tmp_path / "ref"
+    cli.main(["monolithic", *DESK, "--out", str(ref)])
+    capsys.readouterr()
+    assert cli.main(["collect-adjoint", *flags, "--method", "mgd",
+                     "--state-store", str(ref),
+                     "--out", str(tmp_path / "adj")]) == 2
+    assert f"{field}=" in capsys.readouterr().err
+    assert not (tmp_path / "adj").exists()
+
+
 def test_gradcheck_command(capsys):
     assert cli.main(["gradcheck", "--trials", "2", "--seed", "1"]) == 0
     assert "max relative mismatch" in capsys.readouterr().out
@@ -117,10 +134,20 @@ def test_report_command(tmp_path):
     assert (outdir / "singular_values.csv").exists()
 
 
+def test_report_with_too_few_snapshots_exits_2(tmp_path, capsys):
+    # a short run gives 29 state snapshots, fewer than the 100 modes of the
+    # standard entries
+    assert cli.main(["report", "--level", "16", "--T", "0.5",
+                     "--out", str(tmp_path / "rep")]) == 2
+    assert "cannot truncate" in capsys.readouterr().err
+
+
 def test_bad_arguments_exit_2():
     assert cli.main(["couple", "--state", "rom"]) == 2  # missing mode count
     assert cli.main(["couple", "--adjoint", "banana:3"]) == 2
     assert cli.main(["couple", "--state", "rom:0"]) == 2
+    # more modes than the 7 state snapshots of a six-step run
+    assert cli.main(["couple", *DESK, "--state", "rom:50"]) == 2
     with pytest.raises(SystemExit) as exc:
         cli.main(["nonsense"])
     assert exc.value.code == 2
@@ -145,6 +172,21 @@ def test_config_defaults_and_override(tmp_path, capsys):
                      "--out", str(tmp_path / "b")]) == 0
     out = capsys.readouterr().out
     assert "6 steps" in out and "3 steps" in out
+
+
+@pytest.mark.parametrize("values, key", [
+    ({"level": 8.0}, "level"),      # an int flag takes a JSON int
+    ({"level": True}, "level"),     # ... and not a bool
+    ({"supg": 1}, "supg"),          # a switch takes a bool
+    ({"nu": "1e-3"}, "nu"),         # a float flag takes a number
+])
+def test_config_rejects_mistyped_values(tmp_path, capsys, values, key):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(values))
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["couple", "--config", str(cfg)])
+    assert exc.value.code == 2
+    assert repr(key) in capsys.readouterr().err
 
 
 def test_config_placement_before_subcommand(tmp_path):

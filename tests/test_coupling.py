@@ -42,7 +42,7 @@ def interface_system(responses, u_prev):
 
 def test_objective_matches_manual_sum():
     dec = decompose(build_mesh(6, 4), 0.5)
-    _, M_g, _ = assembly.assemble_interface_mass(dec, 1)
+    _, M_g = assembly.assemble_interface_mass(dec, 1)
     rng = np.random.default_rng(0)
     u1 = rng.standard_normal(dec.free_nodes(1).size)
     u2 = rng.standard_normal(dec.free_nodes(2).size)
@@ -255,24 +255,6 @@ def test_mixed_rom_fom_sides_run():
     assert np.isfinite(res.final_1).all() and np.isfinite(res.final_2).all()
 
 
-def test_dirichlet_data_is_rejected():
-    # coupled runs assume homogeneous walls; with beta = 1 they used to
-    # return a wrong answer (rel L2 0.88 at level 8) marked as converged
-    prob = dataclasses.replace(
-        bench.solid_body_rotation_problem(8, T=20 * bench.default_dt(8)),
-        beta=lambda x, y, t: np.ones_like(x))
-    cfg = coupling.CouplingConfig(supg_on=True)
-    with pytest.raises(ValueError, match="beta"):
-        coupling.run_transient(prob, cfg)
-    with pytest.raises(ValueError, match="beta"):
-        snapshots.collect_gdra(prob, cfg)
-    states = snapshots.split_monolithic_snapshots(
-        fom.monolithic_solve(dataclasses.replace(prob, beta=None), supg_on=True),
-        prob.decomposition)
-    with pytest.raises(ValueError, match="beta"):
-        snapshots.collect_mgd(prob, states, 1, cfg)
-
-
 @settings(max_examples=15, deadline=None)
 @given(seed=st.integers(0, 10_000), n_steps=st.integers(1, 4),
        nu=st.sampled_from([1e-4, 1e-3, 1e-2]), supg_on=st.booleans(),
@@ -311,23 +293,27 @@ def test_accepted_states_match_sparse_state_step(seed, n_steps, nu, supg_on,
 
 def test_full_rank_reduced_state_with_full_adjoint_retraces_full_order():
     # gate 2's mixed configuration: with a square orthonormal state basis the
-    # reduced state is a change of variables, so the run retraces FOM-FOM
-    prob = bench.solid_body_rotation_problem(8)
-    dec = prob.decomposition
+    # reduced state is a change of variables, so the run retraces FOM-FOM,
+    # also when a source term loads both sides
     cfg = coupling.CouplingConfig(supg_on=True)
-    res_fom = coupling.run_transient(prob, cfg)
-    rng = np.random.default_rng(5)
-    rops = []
-    for side in (1, 2):
-        ops = assembly.subdomain_operators(dec, side, nu=prob.nu, dt=prob.dt,
-                                           advection=prob.a, supg_on=True)
-        psi = np.linalg.qr(rng.standard_normal((ops.n_free,) * 2))[0]
-        rops.append(rom.reduce_operators(ops, psi, trace_free=dec.trace_free(side)))
-    res = coupling.run_transient(prob, cfg, state_rops=tuple(rops))
-    assert [s.iterations for s in res.stats] == [s.iterations for s in res_fom.stats]
-    step_diff = max(np.abs(res.traj_1 - res_fom.traj_1).max(),
-                    np.abs(res.traj_2 - res_fom.traj_2).max())
-    assert step_diff <= 1e-10
+    for source in (None, lambda x, y, t: 10.0):
+        prob = dataclasses.replace(bench.solid_body_rotation_problem(8), f=source)
+        dec = prob.decomposition
+        res_fom = coupling.run_transient(prob, cfg)
+        rng = np.random.default_rng(5)
+        rops = []
+        for side in (1, 2):
+            ops = assembly.subdomain_operators(dec, side, nu=prob.nu, dt=prob.dt,
+                                               advection=prob.a, supg_on=True)
+            psi = np.linalg.qr(rng.standard_normal((ops.n_free,) * 2))[0]
+            rops.append(rom.reduce_operators(ops, psi,
+                                             trace_free=dec.trace_free(side)))
+        res = coupling.run_transient(prob, cfg, state_rops=tuple(rops))
+        assert ([s.iterations for s in res.stats]
+                == [s.iterations for s in res_fom.stats])
+        step_diff = max(np.abs(res.traj_1 - res_fom.traj_1).max(),
+                        np.abs(res.traj_2 - res_fom.traj_2).max())
+        assert step_diff <= 1e-10
 
 
 @pytest.mark.parametrize("reduced_adjoint", [False, True])

@@ -12,16 +12,15 @@ def rotation(x, y):
     return 0.5 - np.asarray(y), np.asarray(x) - 0.5
 
 
-def make_problem(nx=4, ny=4, nu=0.05, dt=0.05, n_steps=4, a=None, beta=None,
-                 f=None, seed=0):
+def make_problem(nx=4, ny=4, nu=0.05, dt=0.05, n_steps=4, a=None, f=None,
+                 seed=0):
     mesh = build_mesh(nx, ny)
     dec = decompose(mesh, 0.5)
     rng = np.random.default_rng(seed)
     u0 = rng.standard_normal(mesh.n_nodes)
-    if beta is None:
-        u0[mesh.boundary_nodes] = 0.0
+    u0[mesh.boundary_nodes] = 0.0
     return fom.ProblemSpec(decomposition=dec, nu=nu, a=a, f=f, u0=u0, dt=dt,
-                           T=n_steps * dt, beta=beta)
+                           T=n_steps * dt)
 
 
 def test_sign_convention():
@@ -37,8 +36,8 @@ def test_monolithic_diffusion_matches_dense_oracle():
     mesh = prob.mesh
     M, K, A = oracles.assemble_dense(mesh)
     free = np.setdiff1d(np.arange(mesh.n_nodes), mesh.boundary_nodes)
-    ref = oracles.backward_euler_dense(M, K, A, free, mesh.boundary_nodes,
-                                       prob.nu, prob.dt, prob.u0, 5)
+    ref = oracles.backward_euler_dense(M, K, A, free, prob.nu, prob.dt,
+                                       prob.u0, 5)
     np.testing.assert_allclose(traj.data, ref, atol=1e-12)
 
 
@@ -48,23 +47,8 @@ def test_monolithic_advection_matches_dense_oracle():
     mesh = prob.mesh
     M, K, A = oracles.assemble_dense(mesh, rotation)
     free = np.setdiff1d(np.arange(mesh.n_nodes), mesh.boundary_nodes)
-    ref = oracles.backward_euler_dense(M, K, A, free, mesh.boundary_nodes,
-                                       prob.nu, prob.dt, prob.u0, 4)
-    np.testing.assert_allclose(traj.data, ref, atol=1e-12)
-
-
-def test_monolithic_lifting_matches_dense_oracle():
-    def beta(x, y, t):
-        return np.asarray(x) * 0.5 - np.asarray(y) + 0.2 * t
-
-    prob = make_problem(nu=0.1, dt=0.05, n_steps=4, a=rotation, beta=beta)
-    traj = fom.monolithic_solve(prob)
-    mesh = prob.mesh
-    M, K, A = oracles.assemble_dense(mesh, rotation)
-    free = np.setdiff1d(np.arange(mesh.n_nodes), mesh.boundary_nodes)
-    ref = oracles.backward_euler_dense(M, K, A, free, mesh.boundary_nodes,
-                                       prob.nu, prob.dt, prob.u0, 4,
-                                       beta_fn=beta, coords=mesh.coords)
+    ref = oracles.backward_euler_dense(M, K, A, free, prob.nu, prob.dt,
+                                       prob.u0, 4)
     np.testing.assert_allclose(traj.data, ref, atol=1e-12)
 
 
@@ -127,16 +111,6 @@ def test_adjoint_no_history_and_sign():
         # doubling the mismatch doubles the adjoint
         np.testing.assert_allclose(fom.adjoint_solve(ops, 2 * jump, side),
                                    2 * mu, atol=1e-12)
-
-
-def test_adjoint_endpoint_correction():
-    dec = decompose(build_mesh(6, 4), 0.5)
-    ops = assembly.subdomain_operators(dec, 2, nu=1e-2, dt=0.05)
-    jump = np.zeros(dec.n_control)
-    e = np.array([0.7, -0.3])
-    mu = fom.adjoint_solve(ops, jump, 2, endpoint_jump=e)
-    np.testing.assert_allclose(ops.adjoint_matrix() @ mu, ops.W_end @ e,
-                               atol=1e-13)
 
 
 def extract_exact_flux(dec, ops_1, mono_free_1):

@@ -211,3 +211,9 @@ def test_mgd_validates_inputs():
         "state_2": SnapshotMatrix(states["state_2"].data[:, :2], "state", 2)})
     with pytest.raises(ValueError):
         snapshots.collect_mgd(prob, bad, 1, cfg)
+    # a store of another level has the step count but not the free DOFs
+    other = desk_problem(n_steps=2, level=10)
+    wrong_level = snapshots.split_monolithic_snapshots(
+        fom.monolithic_solve(other), other.decomposition)
+    with pytest.raises(ValueError, match="rows"):
+        snapshots.collect_mgd(prob, wrong_level, 1, cfg)
