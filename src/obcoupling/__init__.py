@@ -8,12 +8,14 @@ reduced-order model. Adjoint snapshot collection (including the per-timestep
 modified-gradient variant) feeds the reduced adjoint bases.
 """
 
-from obcoupling import assembly, bench, coupling, fom, geometry, linalg, rom, snapshots
+from obcoupling import (assembly, bench, coupling, errors, fom, geometry, linalg, rom,
+                        snapshots)
 
 __all__ = [
     "assembly",
     "bench",
     "coupling",
+    "errors",
     "fom",
     "geometry",
     "linalg",

@@ -33,6 +33,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from obcoupling import linalg
+from obcoupling.errors import InputError
 from obcoupling.geometry import Decomposition, Mesh
 
 
@@ -66,13 +67,36 @@ def _shape_gradients(xi: float, eta: float) -> np.ndarray:
     ])
 
 
+@dataclass(frozen=True)
+class TraceResponse:
+    """Dense interface maps of one subdomain's state step and adjoint solve.
+
+    With A the state matrix, T the selection of the interface values in
+    control order, W = A^{-T} T^T and Y = A^{-T} M_g0 (one multi-column
+    adjoint solve on [M_g0 | T^T]), the interface trace of a state step is
+
+        T u = P u_prev + W^T f + sign (T Z) g,  P = W^T M / dt,  T Z = W^T M_g0
+
+    and the adjoint of an interface jump is sign Y jump, with trace
+    sign (T Y) jump. Signs are left to the caller.
+    """
+
+    trace_free: np.ndarray  # (n_control,) free indices of the interface nodes
+    Y: np.ndarray           # (n_free, n_control)
+    WT: np.ndarray          # (n_control, n_free) W^T, maps a load to its trace
+    P: np.ndarray           # (n_control, n_free) history map
+    TZ: np.ndarray          # (n_control, n_control)
+    TY: np.ndarray          # (n_control, n_control)
+
+
 @dataclass
 class OperatorSet:
     """Assembled operators for one mesh, restricted to its free DOFs.
 
     Interface fields are present only for decomposed subdomains.
-    Factorizations of the state and adjoint systems are built once on first
-    use and reused for every timestep and descent iteration.
+    Factorizations of the state and adjoint systems, and the interface
+    trace response, are built once on first use and reused for every
+    timestep and descent iteration.
     """
 
     mesh: Mesh
@@ -92,6 +116,7 @@ class OperatorSet:
     M_g: sp.csr_matrix | None = None    # (n_control, n_control) control mass
     _state_fact: linalg.Factorization | None = field(default=None, repr=False)
     _adjoint_fact: linalg.Factorization | None = field(default=None, repr=False)
+    _trace_response: TraceResponse | None = field(default=None, repr=False)
 
     @property
     def n_free(self) -> int:
@@ -112,6 +137,28 @@ class OperatorSet:
         if self._adjoint_fact is None:
             self._adjoint_fact = linalg.factorize(self.adjoint_matrix())
         return self._adjoint_fact
+
+    def trace_response(self, trace_free: np.ndarray) -> TraceResponse:
+        """Interface maps of this subdomain (see TraceResponse), from the
+        adjoint factor only; cached for the given interface indices."""
+        cached = self._trace_response
+        if cached is not None and np.array_equal(cached.trace_free, trace_free):
+            return cached
+        n_control = self.M_g0.shape[1]
+        trace_free = np.array(trace_free, dtype=np.int64)
+        if trace_free.shape != (n_control,):
+            raise ValueError(f"trace_free must hold {n_control} indices")
+        rhs = np.zeros((self.n_free, 2 * n_control), order="F")
+        rhs[:, :n_control] = self.M_g0.toarray()
+        rhs[trace_free, n_control + np.arange(n_control)] = 1.0
+        sol = self.adjoint_factor().solve(rhs)
+        Y, W = sol[:, :n_control], sol[:, n_control:]
+        self._trace_response = TraceResponse(
+            trace_free=trace_free, Y=np.asfortranarray(Y),
+            WT=np.ascontiguousarray(W.T),
+            P=np.ascontiguousarray((self.M.T @ W).T / self.dt),
+            TZ=(self.M_g0.T @ W).T, TY=Y[trace_free])
+        return self._trace_response
 
 
 def _element_geometry(mesh: Mesh):
@@ -188,7 +235,7 @@ def assemble_operators(mesh: Mesh, dirichlet_nodes: np.ndarray, *, nu: float,
     rows and columns are eliminated.
     """
     if nu < 0 or dt <= 0:
-        raise ValueError("need nu >= 0 and dt > 0")
+        raise InputError("need nu >= 0 and dt > 0")
     dirichlet_nodes = np.asarray(dirichlet_nodes, dtype=np.int64)
     M, K, A, S = _assemble_volume(mesh, advection, nu, dt, supg_on)
 

@@ -25,6 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from obcoupling import assembly, coupling, rom, snapshots
+from obcoupling.errors import InputError
 from obcoupling.fom import ProblemSpec, monolithic_solve
 from obcoupling.geometry import build_mesh, decompose
 
@@ -58,7 +59,7 @@ def solid_body_rotation_problem(level: int = 32, *, nu: float = 1e-5,
                                 T: float = 2.0 * math.pi) -> ProblemSpec:
     """Benchmark problem on a level x level grid split at x = 0.5."""
     if level < 4 or level % 2:
-        raise ValueError("level must be even and at least 4")
+        raise InputError("level must be even and at least 4")
     mesh = build_mesh(level, level)
     dec = decompose(mesh, 0.5)
     u0 = initial_condition(mesh.coords[:, 0], mesh.coords[:, 1])
@@ -112,7 +113,6 @@ class BenchmarkSpec:
     warm_start: bool = True
     gdra_delta: float = 1e-14   # descent-recorded collection runs its own
     gdra_tol: float = 1e-12     # regularization and tolerance
-    mgd_workers: int = 1
 
     def problem(self) -> ProblemSpec:
         return solid_body_rotation_problem(self.level, nu=self.nu, dt=self.dt,
@@ -251,10 +251,9 @@ class ExperimentContext:
             elif source.startswith("mgd"):
                 m = int(source[3:])
                 store = snapshots.collect_mgd(self.problem, self.state_store(),
-                                              m, self.config,
-                                              workers=self.spec.mgd_workers)
+                                              m, self.config)
             else:
-                raise ValueError(f"unknown adjoint source {source!r}")
+                raise InputError(f"unknown adjoint source {source!r}")
             self._adjoint_stores[source] = store
         return self._adjoint_stores[source]
 

@@ -6,10 +6,12 @@ inspect POD spectra, run coupled solves with any state/adjoint model
 combination, produce the standard report tables, and verify the adjoint
 gradient against finite differences.
 
-Every numeric flag can instead come from a JSON config file given with
---config; explicit flags override the file. Exit codes: 0 success, 1 a run
+Every optional flag can instead come from a JSON config file given with
+--config; explicit flags override the file, and required flags (--out,
+--method) must be given on the command line. Exit codes: 0 success, 1 a run
 or check failed (with --strict for non-converged coupled solves), 2 bad
-arguments.
+arguments or input the package rejects with an InputError; any other error
+ends with its traceback.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from obcoupling import bench, coupling, rom, snapshots
+from obcoupling.errors import InputError
 
 
 def _add_scenario_args(sub):
@@ -58,8 +61,7 @@ def _benchmark_spec(args) -> bench.BenchmarkSpec:
         kwargs["T"] = args.T
     for name, key in (("delta", "delta"), ("tol", "tol"), ("alpha", "alpha0"),
                       ("max_iters", "max_iters"), ("warm_start", "warm_start"),
-                      ("gdra_delta", "gdra_delta"), ("gdra_tol", "gdra_tol"),
-                      ("workers", "mgd_workers")):
+                      ("gdra_delta", "gdra_delta"), ("gdra_tol", "gdra_tol")):
         if hasattr(args, name):
             kwargs[key] = getattr(args, name)
     return bench.BenchmarkSpec(**kwargs)
@@ -70,15 +72,18 @@ def _fail(message: str, code: int = 2) -> int:
     return code
 
 
+def _parse_modes(text: str, what: str) -> int:
+    if not text.isdigit() or int(text) < 1:
+        raise InputError(f"{what} mode count must be a positive integer, got {text!r}")
+    return int(text)
+
+
 def _parse_state_model(text: str):
     if text == "fom":
         return None
     if text.startswith("rom:"):
-        modes = int(text.split(":", 1)[1])
-        if modes < 1:
-            raise ValueError("state mode count must be positive")
-        return modes
-    raise ValueError(f"bad state model {text!r}, expected fom or rom:<modes>")
+        return _parse_modes(text.split(":", 1)[1], "state")
+    raise InputError(f"bad state model {text!r}, expected fom or rom:<modes>")
 
 
 def _parse_adjoint_model(text: str):
@@ -86,13 +91,11 @@ def _parse_adjoint_model(text: str):
         return None, None
     source, _, modes_txt = text.rpartition(":")
     if not source:
-        raise ValueError(f"bad adjoint model {text!r}, expected full or <source>:<modes>")
-    modes = int(modes_txt)
-    if modes < 1:
-        raise ValueError("adjoint mode count must be positive")
+        raise InputError(f"bad adjoint model {text!r}, expected full or <source>:<modes>")
+    modes = _parse_modes(modes_txt, "adjoint")
     if source != "state" and source != "gdra" and not (
             source.startswith("mgd") and source[3:].isdigit()):
-        raise ValueError(f"unknown adjoint source {source!r}")
+        raise InputError(f"unknown adjoint source {source!r}")
     return source, modes
 
 
@@ -121,19 +124,15 @@ def cmd_collect_adjoint(args) -> int:
     else:
         if args.state_store is None:
             return _fail("--method mgd requires --state-store")
-        try:
-            states = snapshots.read_store(args.state_store)
-            run = {"level": spec.level, "nu": spec.nu, "dt": problem.dt,
-                   "supg_on": spec.supg_on}
-            for key, value in run.items():
-                if key in states.meta and states.meta[key] != value:
-                    return _fail(f"state store {args.state_store} was written "
-                                 f"with {key}={states.meta[key]!r}, this run "
-                                 f"has {key}={value!r}")
-            store = snapshots.collect_mgd(problem, states, args.m, config,
-                                          workers=spec.mgd_workers)
-        except ValueError as exc:
-            return _fail(str(exc))
+        states = snapshots.read_store(args.state_store)
+        run = {"level": spec.level, "nu": spec.nu, "dt": problem.dt,
+               "supg_on": spec.supg_on}
+        for key, value in run.items():
+            if key in states.meta and states.meta[key] != value:
+                return _fail(f"state store {args.state_store} was written "
+                             f"with {key}={states.meta[key]!r}, this run "
+                             f"has {key}={value!r}")
+        store = snapshots.collect_mgd(problem, states, args.m, config)
     snapshots.write_store(store, args.out)
     print(f"{args.method}: {store.meta['n_pairs']} adjoint pairs written to {args.out}")
     return 0
@@ -166,21 +165,14 @@ def cmd_pod(args) -> int:
 
 
 def cmd_couple(args) -> int:
-    try:
-        state_modes = _parse_state_model(args.state)
-        adjoint_source, adjoint_modes = _parse_adjoint_model(args.adjoint)
-    except ValueError as exc:
-        return _fail(str(exc))
-
+    state_modes = _parse_state_model(args.state)
+    adjoint_source, adjoint_modes = _parse_adjoint_model(args.adjoint)
     spec = _benchmark_spec(args)
     entry = bench.ExperimentEntry(
         label=f"{args.state}/{args.adjoint}", state_modes=state_modes,
         adjoint_modes=adjoint_modes,
         adjoint_source=adjoint_source or "mgd1")
-    try:
-        row, _ = bench.ExperimentContext(spec).run_entry(entry)
-    except ValueError as exc:  # e.g. more modes than snapshots
-        return _fail(str(exc))
+    row, _ = bench.ExperimentContext(spec).run_entry(entry)
 
     print(f"{row.label}: rel L2 {row.rel_l2:.6e}, rel H1 {row.rel_h1:.6e}, "
           f"avg iterations {row.avg_iterations:.2f}, "
@@ -197,10 +189,7 @@ def cmd_couple(args) -> int:
 
 def cmd_report(args) -> int:
     spec = _benchmark_spec(args)
-    try:
-        rows = bench.run_experiment(spec, bench.standard_entries(), args.out)
-    except ValueError as exc:  # e.g. too few snapshots for 100 modes
-        return _fail(str(exc))
+    rows = bench.run_experiment(spec, bench.standard_entries(), args.out)
     for row in rows:
         print(f"{row.label}: rel L2 {row.rel_l2:.6e}, "
               f"avg iterations {row.avg_iterations:.2f}")
@@ -258,8 +247,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
                      help="state snapshot store directory (mgd)")
     sub.add_argument("--gdra-delta", type=float, default=1e-14)
     sub.add_argument("--gdra-tol", type=float, default=1e-12)
-    sub.add_argument("--workers", type=int, default=1,
-                     help="thread count for mgd collection")
     sub.add_argument("--out", required=True)
     sub.set_defaults(func=cmd_collect_adjoint)
     register(sub)
@@ -285,7 +272,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
                      help="full, state:<modes>, gdra:<modes> or mgd<m>:<modes>")
     sub.add_argument("--gdra-delta", type=float, default=1e-14)
     sub.add_argument("--gdra-tol", type=float, default=1e-12)
-    sub.add_argument("--workers", type=int, default=1)
     sub.add_argument("--report", default=None, help="write a one-row CSV here")
     sub.add_argument("--strict", action="store_true",
                      help="exit 1 if any timestep fails to converge")
@@ -298,7 +284,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     _add_descent_args(sub)
     sub.add_argument("--gdra-delta", type=float, default=1e-14)
     sub.add_argument("--gdra-tol", type=float, default=1e-12)
-    sub.add_argument("--workers", type=int, default=1)
     sub.add_argument("--out", required=True, help="output directory")
     sub.add_argument("--strict", action="store_true")
     sub.set_defaults(func=cmd_report)
@@ -361,6 +346,9 @@ def _apply_config(argv: list[str], parser, table) -> None:
     if unknown:
         parser.error(f"config keys not accepted by {command}: {sorted(unknown)}")
     for key, value in values.items():
+        if known[key].required:
+            parser.error(f"config key {key!r} of {command} is a required flag; "
+                         f"pass {known[key].option_strings[0]} on the command line")
         want = _config_type_mismatch(known[key], value)
         if want is not None:
             parser.error(f"config key {key!r} of {command} expects {want}, "
@@ -392,7 +380,10 @@ def main(argv=None) -> int:
     parser, table = build_parser()
     _apply_config(list(argv), parser, table)
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except InputError as exc:  # bad input found by the library, e.g. level 5
+        return _fail(str(exc))
 
 
 if __name__ == "__main__":

@@ -23,9 +23,10 @@ so the jump is j0 + R g and the adjoint trace difference is G jump, with
 R = sign_1 T_1 Z_1 - sign_2 T_2 Z_2 and G = sign_1 T_1 Y_1 - sign_2 T_2 Y_2.
 An InterfaceResponse holds Z_i and Y_i of one side; its state half and its
 adjoint half each come from a full-order or a reduced model. Cost model: per
-side, one multi-column solve per run for Z_i and one for Y_i, and one sparse
-(or reduced) solve per timestep for u_i(0); every descent trial is a few
-n_control x n_control matvecs.
+side, one multi-column solve per run for Z_i and one for Y_i (a full-order
+Y_i is read from ``OperatorSet.trace_response``, the maps MGD collection
+uses too), and one sparse (or reduced) solve per timestep for u_i(0); every
+descent trial is a few n_control x n_control matvecs.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ import numpy as np
 import scipy.linalg
 
 from obcoupling import assembly, rom
+from obcoupling.errors import InputError
 from obcoupling.fom import ProblemSpec, adjoint_solve, sign_of, state_step
 from obcoupling.geometry import build_mesh, decompose
 
@@ -56,11 +58,11 @@ class CouplingConfig:
 
     def __post_init__(self):
         if self.delta < 0:
-            raise ValueError("delta must be nonnegative")
+            raise InputError("delta must be nonnegative")
         if self.tol <= 0 or self.alpha0 <= 0:
-            raise ValueError("tol and alpha0 must be positive")
+            raise InputError("tol and alpha0 must be positive")
         if self.max_iters < 1:
-            raise ValueError("max_iters must be at least 1")
+            raise InputError("max_iters must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -135,8 +137,8 @@ class InterfaceResponse:
             self.Y = scipy.linalg.lu_solve(adjoint.adjoint_lu(), adjoint.PsiT_mu_Mg0)
             trace_Y = adjoint.trace_mu @ self.Y
         else:
-            self.Y = adjoint.adjoint_factor().solve(adjoint.M_g0.toarray())
-            trace_Y = self.Y[trace_free]
+            response = adjoint.trace_response(trace_free)
+            self.Y, trace_Y = response.Y, response.TY
         # this side's signed shares of R and G
         self.trace_Z = self.sign * self.trace(self.Z)
         self.trace_Y = self.sign * trace_Y

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from obcoupling import assembly
+from obcoupling.errors import InputError
 from obcoupling.geometry import Decomposition, Mesh
 
 
@@ -45,9 +46,11 @@ class ProblemSpec:
 
     @property
     def n_steps(self) -> int:
+        if not self.dt > 0:
+            raise InputError(f"dt={self.dt} must be positive")
         n = int(round(self.T / self.dt))
         if n < 1:
-            raise ValueError(f"T={self.T} and dt={self.dt} give no timesteps")
+            raise InputError(f"T={self.T} and dt={self.dt} give no timesteps")
         return n
 
 
@@ -119,8 +122,9 @@ def modified_state_step(ops: assembly.OperatorSet, u_snap_prev: np.ndarray,
                         side: int) -> np.ndarray:
     """State step whose history comes from a stored snapshot, not the iterate.
 
-    Identical system to :func:`state_step`; the distinction is semantic and is
-    what makes per-timestep adjoint collection independent of every other
-    timestep.
+    Identical system to :func:`state_step`; the distinction is semantic.
+    Per-timestep adjoint collection computes this step in interface space
+    and does not call it; the tests use it as the sparse-solve oracle of
+    that collection.
     """
     return state_step(ops, u_snap_prev, g, f_free, side)

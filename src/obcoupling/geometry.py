@@ -19,6 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from obcoupling.errors import InputError
+
 _GRID_TOL = 1e-12
 
 
@@ -136,9 +138,9 @@ def build_mesh(nx: int, ny: int, x_min: float = 0.0, x_max: float = 1.0,
                y_min: float = 0.0, y_max: float = 1.0) -> Mesh:
     """Build a uniform nx-by-ny Q1 mesh of [x_min, x_max] x [y_min, y_max]."""
     if nx < 1 or ny < 1:
-        raise ValueError(f"need nx, ny >= 1, got {nx}, {ny}")
+        raise InputError(f"need nx, ny >= 1, got {nx}, {ny}")
     if not (x_max > x_min and y_max > y_min):
-        raise ValueError("degenerate rectangle")
+        raise InputError("degenerate rectangle")
 
     x = np.linspace(x_min, x_max, nx + 1)
     y = np.linspace(y_min, y_max, ny + 1)
@@ -199,7 +201,7 @@ def decompose(mesh: Mesh, interface_x: float) -> Decomposition:
     k_float = (interface_x - x0) / mesh.hx
     k = int(round(k_float))
     if abs(k_float - k) > _GRID_TOL / mesh.hx or not 1 <= k <= mesh.nx - 1:
-        raise ValueError(
+        raise InputError(
             f"interface_x={interface_x} is not an interior grid line of the mesh")
 
     sub1, map1 = _submesh(mesh, 0, k)

@@ -16,6 +16,7 @@ import numpy as np
 import scipy.linalg
 
 from obcoupling import assembly, linalg
+from obcoupling.errors import InputError
 from obcoupling.fom import sign_of
 
 
@@ -45,7 +46,7 @@ class ReducedBasis:
 
     def truncate(self, n_modes: int) -> "ReducedBasis":
         if not 1 <= n_modes <= self.n_modes:
-            raise ValueError(f"cannot truncate {self.n_modes}-mode basis to {n_modes}")
+            raise InputError(f"cannot truncate {self.n_modes}-mode basis to {n_modes}")
         return ReducedBasis(Psi=self.Psi[:, :n_modes], sigma=self.sigma)
 
 
@@ -54,7 +55,7 @@ def pod(snapshots, n_modes: int) -> ReducedBasis:
     data = snapshots.data if isinstance(snapshots, SnapshotMatrix) else np.asarray(snapshots)
     max_modes = min(data.shape)
     if not 1 <= n_modes <= max_modes:
-        raise ValueError(f"n_modes must be in [1, {max_modes}], got {n_modes}")
+        raise InputError(f"n_modes must be in [1, {max_modes}], got {n_modes}")
     u, s, _ = linalg.thin_svd(data)
     return ReducedBasis(Psi=u[:, :n_modes].copy(), sigma=s)
 

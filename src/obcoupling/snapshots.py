@@ -10,9 +10,15 @@ subdomains. Adjoint snapshots come from two collectors:
 
 * ``collect_mgd`` runs m fixed-step descent iterations per timestep against
   the recorded state history instead of a marching state. Timesteps decouple
-  completely, so collection parallelizes across a thread pool; each task
-  writes into preallocated column slots, making the result bitwise identical
-  for any worker count or execution order. Exactly m pairs per timestep.
+  completely: each writes into preallocated column slots, making the result
+  bitwise identical for any execution order. Exactly m pairs per timestep.
+  The descent is linear in the interface: with W_i = A_i^{-T} T_i^T and
+  Y_i = A_i^{-T} M_g0 from one multi-column adjoint solve per side and run
+  (``OperatorSet.trace_response``), a pair costs a few dense matvecs of
+  n_control x n_free matrices and no sparse solve. The zero-control jump is
+  j0 = P_1 s_1 - P_2 s_2 (+ W_1^T f_1 - W_2^T f_2) with P_i = W_i^T M_i / dt
+  and s_i the history column, the jump at control g is j0 + R g, and the
+  pair is mu_i = sign_i Y_i jump (R and G as in ``coupling``).
 
 Storage uses one file per snapshot matrix in a small binary container:
 magic "SNAP1", a version byte, little-endian u32 row and column counts, a
@@ -25,14 +31,16 @@ from __future__ import annotations
 
 import json
 import struct
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from obcoupling import assembly, coupling
-from obcoupling.fom import ProblemSpec, Trajectory, adjoint_solve, modified_state_step
+from obcoupling.errors import InputError
+from obcoupling.fom import ProblemSpec, Trajectory, sign_of
+# not called here; span tracers patch these names at this lookup site
+from obcoupling.fom import adjoint_solve, modified_state_step  # noqa: F401
 from obcoupling.geometry import Decomposition
 from obcoupling.rom import SnapshotMatrix
 
@@ -122,25 +130,30 @@ def _mgd_step(n, m, ops_1, ops_2, state_1, state_2, tf_1, tf_2, config,
 
     Runs the per-timestep descent against the snapshot history state_i[:, n-1]
     with a fixed step alpha0 and zero initial control; with no accepted
-    objective sequence to monitor there is nothing to halve against.
+    objective sequence to monitor there is nothing to halve against. Every
+    solve happens in the sides' cached trace responses, so a step is a few
+    dense matvecs: the zero-control jump j0 from the history maps P_i, the
+    jump j0 + R g at control g, and the pair sign_i Y_i jump.
     """
     delta, alpha = config.delta, config.alpha0
-    u_prev_1 = state_1[:, n - 1]
-    u_prev_2 = state_2[:, n - 1]
-    f_1 = None if loads is None else loads[0](n)
-    f_2 = None if loads is None else loads[1](n)
-    g = np.zeros(tf_1.size)
+    r_1 = ops_1.trace_response(tf_1)
+    r_2 = ops_2.trace_response(tf_2)
+    s_1, s_2 = sign_of(1), sign_of(2)
+    j0 = r_1.P @ state_1[:, n - 1] - r_2.P @ state_2[:, n - 1]
+    if loads is not None:
+        j0 += r_1.WT @ loads[0](n) - r_2.WT @ loads[1](n)
+    if m > 1:
+        R = s_1 * r_1.TZ - s_2 * r_2.TZ
+        G = s_1 * r_1.TY - s_2 * r_2.TY
+    g = np.zeros(j0.size)
+    jump = j0
     for k in range(m):
-        u_1 = modified_state_step(ops_1, u_prev_1, g, f_1, 1)
-        u_2 = modified_state_step(ops_2, u_prev_2, g, f_2, 2)
-        jump = u_1[tf_1] - u_2[tf_2]
-        mu_1 = adjoint_solve(ops_1, jump, 1)
-        mu_2 = adjoint_solve(ops_2, jump, 2)
         col = (n - 1) * m + k
-        out_1[:, col] = mu_1
-        out_2[:, col] = mu_2
+        out_1[:, col] = s_1 * (r_1.Y @ jump)
+        out_2[:, col] = s_2 * (r_2.Y @ jump)
         if k + 1 < m:
-            g = (1.0 - alpha * delta) * g - alpha * (mu_1[tf_1] - mu_2[tf_2])
+            g = (1.0 - alpha * delta) * g - alpha * (G @ jump)
+            jump = j0 + R @ g
 
 
 def collect_mgd(problem: ProblemSpec, states: SnapshotStore, m: int,
@@ -149,22 +162,23 @@ def collect_mgd(problem: ProblemSpec, states: SnapshotStore, m: int,
 
     ``states`` must hold the subdomain state histories (keys state_1 and
     state_2, one row per free DOF and one column per time level). Yields
-    exactly m pairs per timestep regardless of worker count, in
-    timestep-major column order.
+    exactly m pairs per timestep in timestep-major column order. ``workers``
+    is validated but the timesteps run in one thread: a step is a few
+    memory-bound matvecs, and a thread pool made the collection slower.
     """
     if m < 1:
-        raise ValueError("m must be at least 1")
+        raise InputError("m must be at least 1")
     if workers < 1:
-        raise ValueError("workers must be at least 1")
+        raise InputError("workers must be at least 1")
     dec = problem.decomposition
     n_steps = problem.n_steps
     state_1 = states["state_1"].data
     state_2 = states["state_2"].data
     if state_1.shape[1] != n_steps + 1 or state_2.shape[1] != n_steps + 1:
-        raise ValueError("state snapshots do not match the problem's step count")
+        raise InputError("state snapshots do not match the problem's step count")
     for side, data in ((1, state_1), (2, state_2)):
         if data.shape[0] != dec.free_nodes(side).size:
-            raise ValueError(f"state_{side} snapshots have {data.shape[0]} rows, "
+            raise InputError(f"state_{side} snapshots have {data.shape[0]} rows, "
                              f"the problem's subdomain {side} has "
                              f"{dec.free_nodes(side).size} free nodes")
 
@@ -172,10 +186,6 @@ def collect_mgd(problem: ProblemSpec, states: SnapshotStore, m: int,
                                          advection=problem.a, supg_on=config.supg_on)
     ops_2 = assembly.subdomain_operators(dec, 2, nu=problem.nu, dt=problem.dt,
                                          advection=problem.a, supg_on=config.supg_on)
-    # factor up front so worker threads only ever read the cached factors
-    for op in (ops_1, ops_2):
-        op.state_factor()
-        op.adjoint_factor()
     tf_1 = dec.trace_free(1)
     tf_2 = dec.trace_free(2)
 
@@ -186,18 +196,9 @@ def collect_mgd(problem: ProblemSpec, states: SnapshotStore, m: int,
 
     out_1 = np.zeros((state_1.shape[0], n_steps * m), order="F")
     out_2 = np.zeros((state_2.shape[0], n_steps * m), order="F")
-
-    def task(n):
+    for n in range(1, n_steps + 1):
         _mgd_step(n, m, ops_1, ops_2, state_1, state_2, tf_1, tf_2,
                   config, loads, out_1, out_2)
-
-    steps = range(1, n_steps + 1)
-    if workers == 1:
-        for n in steps:
-            task(n)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(task, steps))
 
     meta = {
         "method": "mgd", "m": m, "delta": config.delta, "alpha0": config.alpha0,
@@ -226,25 +227,25 @@ def write_snapshot_file(path, matrix: np.ndarray, meta: dict | None = None):
 
 
 def read_snapshot_file(path) -> tuple[np.ndarray, dict]:
-    """Read a SNAP1 container; raises ValueError on any malformed layout."""
+    """Read a SNAP1 container; raises InputError on any malformed layout."""
     raw = Path(path).read_bytes()
     head_len = len(_MAGIC) + 1 + _HEADER.size
     if len(raw) < head_len:
-        raise ValueError(f"{path}: truncated header")
+        raise InputError(f"{path}: truncated header")
     if raw[:len(_MAGIC)] != _MAGIC:
-        raise ValueError(f"{path}: bad magic, not a SNAP1 file")
+        raise InputError(f"{path}: bad magic, not a SNAP1 file")
     version = raw[len(_MAGIC)]
     if version != _VERSION:
-        raise ValueError(f"{path}: unsupported version {version}")
+        raise InputError(f"{path}: unsupported version {version}")
     rows, cols, meta_len = _HEADER.unpack_from(raw, len(_MAGIC) + 1)
     data_start = head_len + meta_len
     expected = data_start + rows * cols * 8
     if len(raw) != expected:
-        raise ValueError(f"{path}: expected {expected} bytes, found {len(raw)}")
+        raise InputError(f"{path}: expected {expected} bytes, found {len(raw)}")
     try:
         meta = json.loads(raw[head_len:data_start].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ValueError(f"{path}: bad metadata blob: {exc}") from exc
+        raise InputError(f"{path}: bad metadata blob: {exc}") from exc
     flat = np.frombuffer(raw, dtype="<f8", count=rows * cols, offset=data_start)
     return flat.reshape((rows, cols), order="F").copy(), meta
 
@@ -262,9 +263,12 @@ def write_store(store: SnapshotStore, directory):
 def read_store(directory) -> SnapshotStore:
     directory = Path(directory)
     if not directory.is_dir():
-        raise ValueError(f"{directory} is not a snapshot store directory")
+        raise InputError(f"{directory} is not a snapshot store directory")
     meta_path = directory / "meta.json"
-    meta = json.loads(meta_path.read_text()) if meta_path.exists() else {}
+    try:
+        meta = json.loads(meta_path.read_text()) if meta_path.exists() else {}
+    except json.JSONDecodeError as exc:
+        raise InputError(f"{meta_path}: bad JSON: {exc}") from exc
     matrices = {}
     for path in sorted(directory.glob("*.snap")):
         data, file_meta = read_snapshot_file(path)
@@ -272,5 +276,5 @@ def read_store(directory) -> SnapshotStore:
             data=data, kind=file_meta.get("kind", "state"),
             subdomain=int(file_meta.get("subdomain", 0)))
     if not matrices:
-        raise ValueError(f"{directory} contains no snapshot files")
+        raise InputError(f"{directory} contains no snapshot files")
     return SnapshotStore(matrices=matrices, meta=meta)

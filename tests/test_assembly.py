@@ -119,6 +119,31 @@ def test_adjoint_operator_is_exact_transpose():
         assert abs(gap).max() == 0.0
 
 
+def test_trace_response_matches_sparse_solves():
+    dec = decompose(build_mesh(8, 8), 0.5)
+    rng = np.random.default_rng(3)
+    for side in (1, 2):
+        ops = assembly.subdomain_operators(dec, side, nu=1e-2, dt=5e-2,
+                                           advection=rotation)
+        tf = dec.trace_free(side)
+        r = ops.trace_response(tf)
+        assert ops.trace_response(tf) is r
+        M_g0 = ops.M_g0.toarray()
+        Y = ops.adjoint_factor().solve(M_g0)
+        Z = ops.state_factor().solve(M_g0)
+        scale = abs(Y).max()
+        np.testing.assert_allclose(r.Y, Y, rtol=0, atol=1e-13 * scale)
+        np.testing.assert_allclose(r.TY, Y[tf], rtol=0, atol=1e-13 * scale)
+        np.testing.assert_allclose(r.TZ, Z[tf], rtol=0,
+                                   atol=1e-13 * abs(Z).max())
+        # the interface trace of a zero-control state step
+        u_prev = rng.standard_normal(ops.n_free)
+        f = rng.standard_normal(ops.n_free)
+        u = ops.state_factor().solve(ops.M @ u_prev / ops.dt + f)
+        np.testing.assert_allclose(r.P @ u_prev + r.WT @ f, u[tf], rtol=0,
+                                   atol=1e-12 * abs(u[tf]).max())
+
+
 def test_interface_mass_small_mesh():
     # 2x2 grid split at 0.5: one control node at y = 0.5, edge length 0.5.
     dec = decompose(build_mesh(2, 2), 0.5)

@@ -194,3 +194,55 @@ def test_config_placement_before_subcommand(tmp_path):
     cfg.write_text(json.dumps({"level": 8, "nu": 1e-3, "dt": 5e-2, "T": 0.3,
                                "delta": 1e-12, "tol": 1e-10}))
     assert cli.main(["--config", str(cfg), "couple"]) == 0
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["monolithic", "--level", "5", "--out", "{tmp}/ref"], "level must be even"),
+    (["collect-adjoint", "--level", "5", "--method", "gdra",
+      "--out", "{tmp}/adj"], "level must be even"),
+    (["gradcheck", "--level", "5"], "not an interior grid line"),
+    (["couple", "--level", "8", "--dt", "0"], "dt=0.0 must be positive"),
+    (["pod", "--store", "{tmp}/missing", "--modes", "3", "--out", "{tmp}/b"],
+     "is not a snapshot store directory"),
+])
+def test_library_value_errors_exit_2(tmp_path, capsys, argv, message):
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize("argv, values, key", [
+    (["monolithic", *DESK], {"out": "x"}, "out"),
+    (["monolithic", *DESK, "--out", "{tmp}/ref"], {"out": "x"}, "out"),
+    (["collect-adjoint", *DESK, "--out", "{tmp}/adj"], {"method": "gdra"},
+     "method"),
+])
+def test_config_rejects_required_flags(tmp_path, capsys, argv, values, key):
+    # a required flag must be on the command line, so its config key could
+    # never take effect
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(values))
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*argv, "--config", str(cfg)])
+    assert exc.value.code == 2
+    assert f"config key {key!r}" in capsys.readouterr().err
+    assert not (tmp_path / "ref").exists()
+
+
+@pytest.mark.parametrize("flag, model", [
+    ("--state", "rom:x"), ("--adjoint", "mgd1:abc"), ("--adjoint", "state:-2")])
+def test_non_numeric_mode_count_exits_2(capsys, flag, model):
+    assert cli.main(["couple", flag, model]) == 2
+    assert "mode count must be a positive integer" in capsys.readouterr().err
+
+
+def test_internal_value_error_keeps_its_traceback(monkeypatch):
+    # only InputError means bad arguments; any other ValueError is a fault
+    # and must not be reported as exit 2
+    def broken(args):
+        raise ValueError("matmul: dimension mismatch")
+    monkeypatch.setattr(cli, "cmd_gradcheck", broken)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        cli.main(["gradcheck"])

@@ -1,9 +1,10 @@
+import dataclasses
 import struct
 
 import numpy as np
 import pytest
 
-from obcoupling import bench, coupling, fom, rom, snapshots
+from obcoupling import assembly, bench, coupling, fom, rom, snapshots
 from obcoupling.rom import SnapshotMatrix
 
 # 1x1 matrix holding 1.0 with empty metadata, spelled out byte by byte:
@@ -146,7 +147,6 @@ def test_mgd_exact_pair_count_and_first_iteration():
 
     # the first pair of each timestep is the adjoint of the zero-control
     # mismatch of states stepped from the snapshot history
-    from obcoupling import assembly
     ops = {s: assembly.subdomain_operators(dec, s, nu=prob.nu, dt=prob.dt,
                                            advection=prob.a, supg_on=True)
            for s in (1, 2)}
@@ -160,6 +160,59 @@ def test_mgd_exact_pair_count_and_first_iteration():
         mu1 = fom.adjoint_solve(ops[1], jump, 1)
         np.testing.assert_allclose(store["adjoint_1"].data[:, n - 1], mu1,
                                    atol=1e-13)
+
+
+@pytest.mark.parametrize("source", [None, 10.0], ids=["no-source", "f=10"])
+@pytest.mark.parametrize("delta", [1e-16, 1e-3])
+@pytest.mark.parametrize("m", [1, 3])
+def test_mgd_matches_sparse_solve_oracle(m, delta, source):
+    # every pair equals the fixed-step descent replayed with sparse state
+    # steps and adjoint solves from the snapshot history
+    prob = desk_problem(n_steps=4)
+    if source is not None:
+        prob = dataclasses.replace(prob, f=lambda x, y, t: source)
+    dec = prob.decomposition
+    traj = fom.monolithic_solve(prob, supg_on=True)
+    states = snapshots.split_monolithic_snapshots(traj, dec)
+    cfg = coupling.CouplingConfig(delta=delta, supg_on=True)
+    store = snapshots.collect_mgd(prob, states, m, cfg)
+
+    ops = {s: assembly.subdomain_operators(dec, s, nu=prob.nu, dt=prob.dt,
+                                           advection=prob.a, supg_on=True)
+           for s in (1, 2)}
+    tf = {s: dec.trace_free(s) for s in (1, 2)}
+    loads = {s: coupling.make_loads(prob, dec, s) for s in (1, 2)}
+    adjoint_matrix = {s: ops[s].adjoint_matrix() for s in (1, 2)}
+    off = {}
+    for s in (1, 2):
+        off[s] = np.ones(dec.free_nodes(s).size, dtype=bool)
+        off[s][tf[s]] = False
+    for n in range(1, prob.n_steps + 1):
+        g = np.zeros(dec.n_control)
+        for k in range(m):
+            u, mu = {}, {}
+            for s in (1, 2):
+                f = None if loads[s] is None else loads[s](n)
+                u[s] = fom.state_step(ops[s], states[f"state_{s}"].data[:, n - 1],
+                                      g, f, s)
+            jump = u[1][tf[1]] - u[2][tf[2]]
+            residual = {}
+            for s in (1, 2):
+                mu[s] = fom.adjoint_solve(ops[s], jump, s)
+                got = store[f"adjoint_{s}"].data[:, (n - 1) * m + k]
+                assert (np.linalg.norm(got - mu[s])
+                        <= 1e-12 * np.linalg.norm(mu[s])), (n, k, s)
+                residual[s] = adjoint_matrix[s] @ got
+            # adjoint pair property: A_i^T mu_i lives on the interface, and
+            # the two interface parts are opposite
+            scale = np.abs(residual[1][tf[1]]).max()
+            assert scale > 0
+            for s in (1, 2):
+                assert np.abs(residual[s][off[s]]).max() <= 1e-12 * scale
+            assert (np.abs(residual[1][tf[1]] + residual[2][tf[2]]).max()
+                    <= 1e-12 * scale)
+            g = ((1.0 - cfg.alpha0 * delta) * g
+                 - cfg.alpha0 * (mu[1][tf[1]] - mu[2][tf[2]]))
 
 
 def test_mgd_invariant_under_workers_and_order():
