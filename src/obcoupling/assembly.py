@@ -11,12 +11,12 @@ Operator conventions on the free degrees of freedom:
   K[k, j] = (grad phi_j, grad phi_k)  stiffness
   A[k, j] = (a phi_k, grad phi_j)     advection, equals (a . grad phi_j, phi_k)
 
-The implicit state step solves (M/dt + nu K + A + S_state) u = rhs and the
-adjoint solves its exact transpose (M/dt + nu K + A^T + S_adjoint) mu = rhs
-with S_adjoint = S_state^T, so the discrete sensitivity/adjoint duality holds
-to solver precision. For a divergence-free field, A + A^T equals the boundary
-flux matrix int_boundary (a.n) phi_k phi_j, so the advection block is skew up
-to interface terms.
+The implicit state step solves (M/dt + nu K + A + S_state) u = rhs. The
+adjoint system is its exact transpose, so it is one transposed solve with the
+state system's single LU factorization, and the discrete sensitivity/adjoint
+duality holds to solver precision. For a divergence-free field, A + A^T
+equals the boundary flux matrix int_boundary (a.n) phi_k phi_j, so the
+advection block is skew up to interface terms.
 
 SUPG stabilization adds, per element,
   tau_e * (phi_j/dt + a . grad phi_j, a . grad phi_k)
@@ -93,10 +93,10 @@ class TraceResponse:
 class OperatorSet:
     """Assembled operators for one mesh, restricted to its free DOFs.
 
-    Interface fields are present only for decomposed subdomains.
-    Factorizations of the state and adjoint systems, and the interface
-    trace response, are built once on first use and reused for every
-    timestep and descent iteration.
+    Interface fields are present only for decomposed subdomains. The state
+    system is factored once on first use; the adjoint factor is a transposed
+    view of the same factors. The factors and the interface trace response
+    are reused for every timestep and descent iteration.
     """
 
     mesh: Mesh
@@ -111,11 +111,9 @@ class OperatorSet:
     K: sp.csr_matrix
     A: sp.csr_matrix
     S_state: sp.csr_matrix
-    S_adjoint: sp.csr_matrix
     M_g0: sp.csr_matrix | None = None   # (n_free, n_control) interface mass
     M_g: sp.csr_matrix | None = None    # (n_control, n_control) control mass
     _state_fact: linalg.Factorization | None = field(default=None, repr=False)
-    _adjoint_fact: linalg.Factorization | None = field(default=None, repr=False)
     _trace_response: TraceResponse | None = field(default=None, repr=False)
 
     @property
@@ -125,22 +123,19 @@ class OperatorSet:
     def state_matrix(self) -> sp.csr_matrix:
         return (self.M / self.dt + self.nu * self.K + self.A + self.S_state).tocsr()
 
-    def adjoint_matrix(self) -> sp.csr_matrix:
-        return (self.M / self.dt + self.nu * self.K + self.A.T + self.S_adjoint).tocsr()
-
     def state_factor(self) -> linalg.Factorization:
         if self._state_fact is None:
             self._state_fact = linalg.factorize(self.state_matrix())
         return self._state_fact
 
     def adjoint_factor(self) -> linalg.Factorization:
-        if self._adjoint_fact is None:
-            self._adjoint_fact = linalg.factorize(self.adjoint_matrix())
-        return self._adjoint_fact
+        """Solves with state_matrix().T, on the state system's factors."""
+        return self.state_factor().T
 
     def trace_response(self, trace_free: np.ndarray) -> TraceResponse:
-        """Interface maps of this subdomain (see TraceResponse), from the
-        adjoint factor only; cached for the given interface indices."""
+        """Interface maps of this subdomain (see TraceResponse), from one
+        transposed solve with the state factors; cached for the given
+        interface indices."""
         cached = self._trace_response
         if cached is not None and np.array_equal(cached.trace_free, trace_free):
             return cached
@@ -248,14 +243,11 @@ def assemble_operators(mesh: Mesh, dirichlet_nodes: np.ndarray, *, nu: float,
     def restrict(mat):
         return mat[free][:, free].tocsr()
 
-    S_ff = restrict(S)
-
     return OperatorSet(
         mesh=mesh, nu=nu, dt=dt, side=side, supg_on=supg_on,
         free_nodes=free, node_to_free=node_to_free,
         dirichlet_nodes=dirichlet_nodes,
-        M=restrict(M), K=restrict(K), A=restrict(A),
-        S_state=S_ff, S_adjoint=S_ff.T.tocsr())
+        M=restrict(M), K=restrict(K), A=restrict(A), S_state=restrict(S))
 
 
 def assemble_interface_mass(dec: Decomposition, side: int):
@@ -328,42 +320,3 @@ def assemble_load(mesh: Mesh, free_nodes: np.ndarray, f, t: float) -> np.ndarray
         fq = np.broadcast_to(np.asarray(f(xq, yq, t), dtype=np.float64), xq.shape)
         np.add.at(vals, mesh.elements, (w * jac) * fq[:, None] * shapes[None, :])
     return vals[free_nodes]
-
-
-def assemble_boundary_flux(mesh: Mesh, advection) -> sp.csr_matrix:
-    """Boundary matrix int_boundary (a.n) phi_k phi_j over the full node space.
-
-    For a divergence-free field this equals A + A^T exactly, which is what the
-    advection skew-symmetry check verifies.
-    """
-    rows, cols, vals = [], [], []
-    g = 1.0 / np.sqrt(3.0)
-
-    def edge_contrib(n0, n1, h, normal):
-        p0, p1 = mesh.coords[n0], mesh.coords[n1]
-        for s in (-g, g):
-            shapes = np.array([(1 - s) / 2.0, (1 + s) / 2.0])
-            x = p0[0] + (s + 1) / 2.0 * (p1[0] - p0[0])
-            y = p0[1] + (s + 1) / 2.0 * (p1[1] - p0[1])
-            ax, ay = advection(np.array([x]), np.array([y]))
-            an = float(np.asarray(ax)[0] * normal[0] + np.asarray(ay)[0] * normal[1])
-            w = h / 2.0
-            for r in range(2):
-                for c in range(2):
-                    rows.append((n0, n1)[r])
-                    cols.append((n0, n1)[c])
-                    vals.append(w * an * shapes[r] * shapes[c])
-
-    nx, ny = mesh.nx, mesh.ny
-    for i in range(nx):  # bottom and top
-        edge_contrib(mesh.node_index(i, 0), mesh.node_index(i + 1, 0),
-                     mesh.hx, (0.0, -1.0))
-        edge_contrib(mesh.node_index(i, ny), mesh.node_index(i + 1, ny),
-                     mesh.hx, (0.0, 1.0))
-    for j in range(ny):  # left and right
-        edge_contrib(mesh.node_index(0, j), mesh.node_index(0, j + 1),
-                     mesh.hy, (-1.0, 0.0))
-        edge_contrib(mesh.node_index(nx, j), mesh.node_index(nx, j + 1),
-                     mesh.hy, (1.0, 0.0))
-
-    return linalg.from_triplets(mesh.n_nodes, mesh.n_nodes, rows, cols, vals)

@@ -72,9 +72,6 @@ class Control:
     values: np.ndarray  # (n_control, n_steps + 1)
     dt: float
 
-    def at(self, n: int) -> np.ndarray:
-        return self.values[:, n]
-
 
 @dataclass(frozen=True)
 class IterationStats:
@@ -130,11 +127,11 @@ class InterfaceResponse:
         self._reduced_state = isinstance(state, rom.ReducedOperatorSet)
         self._reduced_adjoint = isinstance(adjoint, rom.ReducedOperatorSet)
         if self._reduced_state:
-            self.Z = scipy.linalg.lu_solve(state.state_lu(), state.PsiT_Mg0)
+            self.Z = scipy.linalg.lu_solve(state.state_lu, state.PsiT_Mg0)
         else:
             self.Z = state.state_factor().solve(state.M_g0.toarray())
         if self._reduced_adjoint:
-            self.Y = scipy.linalg.lu_solve(adjoint.adjoint_lu(), adjoint.PsiT_mu_Mg0)
+            self.Y = scipy.linalg.lu_solve(adjoint.adjoint_lu, adjoint.PsiT_mu_Mg0)
             trace_Y = adjoint.trace_mu @ self.Y
         else:
             response = adjoint.trace_response(trace_free)

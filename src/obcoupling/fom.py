@@ -2,16 +2,17 @@
 
 The state step on free DOFs solves
 
-  (M/dt + nu K + A + S_state) u^n = f^n + sign_i * M_g0 g + M u^{n-1} / dt
+  L u^n = f^n + sign_i * M_g0 g + M u^{n-1} / dt,  L = M/dt + nu K + A + S_state
 
 with sign_1 = -1 and sign_2 = +1 for the two subdomains. The adjoint of the
 trace-mismatch objective carries no time history and solves the exact
 transpose system
 
-  (M/dt + nu K + A^T + S_adjoint) mu = sign_i * M_g0 (u_1 - u_2)|interface.
+  L^T mu = sign_i * M_g0 (u_1 - u_2)|interface.
 
-System matrices are time independent, so each is factored once and the
-factorization reused for every step and every descent iteration.
+L is time independent, so it is factored once per subdomain; the adjoint
+is a transposed solve with the same LU factors, and both are reused for
+every step and every descent iteration.
 """
 
 from __future__ import annotations

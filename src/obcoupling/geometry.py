@@ -62,18 +62,13 @@ class InterfaceMap:
     Control degrees of freedom are the interior interface nodes (endpoints
     excluded), ordered by ascending y following subdomain 1's interface
     ordering. ``trace_free_i`` indexes a subdomain-i free-DOF vector so that
-    ``v[trace_free_i]`` is the control-ordered trace. ``perm_1`` / ``perm_2``
-    are the permutations from each subdomain's natural (ascending local node
-    index) interface ordering to the control ordering; for matched meshes
-    built here both are the identity, but they are constructed by coordinate
-    matching and tested as genuine permutations.
+    ``v[trace_free_i]`` is the control-ordered trace, placed by matching
+    each interface node's y coordinate to the control grid.
     """
 
     control_y: np.ndarray    # (n_control,) ascending y of interior interface nodes
     trace_free_1: np.ndarray  # (n_control,) indices into subdomain-1 free vectors
     trace_free_2: np.ndarray
-    perm_1: np.ndarray
-    perm_2: np.ndarray
 
     @property
     def n_control(self) -> int:
@@ -256,4 +251,4 @@ def _build_interface_map(control_y, sub1, int_nodes_1, n2f1, sub2, int_nodes_2, 
         raise ValueError("interface interior node unexpectedly Dirichlet")
 
     return InterfaceMap(control_y=control_y, trace_free_1=trace1,
-                        trace_free_2=trace2, perm_1=p1, perm_2=p2)
+                        trace_free_2=trace2)

@@ -2,11 +2,15 @@
 
 Sparse matrices are scipy CSR; factorizations are SuperLU objects wrapped
 so a matrix is factored once and the factorization reused across timesteps and
-descent iterations (the system matrices are time independent). The thin SVD is
-LAPACK's economy SVD and backs proper orthogonal decomposition.
+descent iterations (the system matrices are time independent). The same
+factors also solve with the transposed matrix, so an adjoint system never
+needs a factorization of its own. The thin SVD is LAPACK's economy SVD and
+backs proper orthogonal decomposition.
 """
 
 from __future__ import annotations
+
+import copy
 
 import numpy as np
 import scipy.sparse as sp
@@ -14,20 +18,31 @@ import scipy.sparse.linalg as spla
 
 
 class Factorization:
-    """LU factorization of a square sparse matrix, reusable across solves."""
+    """LU factorization of a square sparse matrix, reusable across solves.
+
+    ``.T`` shares the factors and solves with the transposed matrix.
+    """
 
     def __init__(self, matrix: sp.spmatrix):
         if matrix.shape[0] != matrix.shape[1]:
             raise ValueError(f"cannot factorize non-square matrix {matrix.shape}")
         self.shape = matrix.shape
         self._lu = spla.splu(sp.csc_matrix(matrix))
+        self._trans = "N"
+
+    @property
+    def T(self) -> "Factorization":
+        view = copy.copy(self)
+        view._trans = "T" if self._trans == "N" else "N"
+        return view
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve A x = rhs for one right-hand side (or a stack of columns)."""
+        """Solve A x = rhs (A^T x = rhs on a ``.T`` view) for one right-hand
+        side or a stack of columns."""
         rhs = np.asarray(rhs, dtype=np.float64)
         if rhs.shape[0] != self.shape[0]:
             raise ValueError(f"rhs length {rhs.shape[0]} != matrix size {self.shape[0]}")
-        return self._lu.solve(rhs)
+        return self._lu.solve(rhs, trans=self._trans)
 
 
 def from_triplets(n_rows: int, n_cols: int, rows, cols, values) -> sp.csr_matrix:

@@ -2,15 +2,15 @@
 
 Bases come from one thin SVD per snapshot matrix (snapshots live on the free
 DOFs, plain l2 inner product); truncated bases are nested prefixes of that
-single SVD. Reduced operators are Galerkin projections Psi^T Op Psi under the
-state basis Psi_u for the state system and under the adjoint basis Psi_mu for
-the adjoint system, so a full orthonormal basis reproduces the corresponding
-full-order solve exactly (change of basis).
+single SVD. A reduced model projects the full-order state system L twice:
+Psi_u^T L Psi_u under the state basis and Psi_mu^T L^T Psi_mu, its adjoint,
+under the adjoint basis. A full orthonormal basis therefore reproduces the
+corresponding full-order solve exactly (change of basis).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -98,51 +98,28 @@ def projection_error(basis: ReducedBasis, vectors: np.ndarray) -> np.ndarray | f
     return float(errs[0]) if single else errs
 
 
-@dataclass
+@dataclass(frozen=True)
 class ReducedOperatorSet:
-    """Galerkin-projected operators for one subdomain.
+    """Galerkin-projected systems of one subdomain, factored once.
 
-    State blocks are projected under Psi_u, adjoint blocks under Psi_mu. The
-    interface couplings Psi^T M_g0 and the trace rows T Psi are precomputed so
-    the descent loop touches only control-sized and mode-sized arrays.
+    ``state_lu`` and ``adjoint_lu`` are the LU factors of Psi_u^T L Psi_u and
+    Psi_mu^T L^T Psi_mu, with L the full-order state system; Mh = Psi_u^T M
+    Psi_u carries the history term. The interface couplings Psi^T M_g0 and
+    the trace rows T Psi are precomputed so the descent loop touches only
+    control-sized and mode-sized arrays.
     """
 
     side: int
-    nu: float
     dt: float
     Psi_u: np.ndarray
     Psi_mu: np.ndarray
     Mh: np.ndarray
-    Kh: np.ndarray
-    Ah: np.ndarray
-    Sh_state: np.ndarray
-    Mh_mu: np.ndarray
-    Kh_mu: np.ndarray
-    Ah_mu: np.ndarray
-    Sh_adjoint: np.ndarray
+    state_lu: tuple           # scipy.linalg.lu_factor of the reduced state system
+    adjoint_lu: tuple         # and of the reduced adjoint system
     PsiT_Mg0: np.ndarray      # (n_u, n_control)
     PsiT_mu_Mg0: np.ndarray   # (n_mu, n_control)
     trace_u: np.ndarray       # (n_control, n_u): control-ordered rows of Psi_u
     trace_mu: np.ndarray      # (n_control, n_mu)
-    _state_lu: tuple | None = field(default=None, repr=False)
-    _adjoint_lu: tuple | None = field(default=None, repr=False)
-
-    def state_matrix(self) -> np.ndarray:
-        return self.Mh / self.dt + self.nu * self.Kh + self.Ah + self.Sh_state
-
-    def adjoint_matrix(self) -> np.ndarray:
-        return (self.Mh_mu / self.dt + self.nu * self.Kh_mu + self.Ah_mu.T
-                + self.Sh_adjoint)
-
-    def state_lu(self) -> tuple:
-        if self._state_lu is None:
-            self._state_lu = scipy.linalg.lu_factor(self.state_matrix())
-        return self._state_lu
-
-    def adjoint_lu(self) -> tuple:
-        if self._adjoint_lu is None:
-            self._adjoint_lu = scipy.linalg.lu_factor(self.adjoint_matrix())
-        return self._adjoint_lu
 
     def lift(self, uhat: np.ndarray) -> np.ndarray:
         """Free-DOF representation Psi_u @ uhat of a reduced state."""
@@ -159,7 +136,7 @@ def _project(mat, basis: np.ndarray) -> np.ndarray:
 def reduce_operators(ops: assembly.OperatorSet, Psi_u: np.ndarray,
                      Psi_mu: np.ndarray | None = None, *,
                      trace_free: np.ndarray) -> ReducedOperatorSet:
-    """Project one subdomain's operators onto reduced bases.
+    """Project one subdomain's state system onto reduced bases and factor it.
 
     ``trace_free`` gives the control-ordered free indices of the interface
     (the interface map of the decomposition).
@@ -169,12 +146,12 @@ def reduce_operators(ops: assembly.OperatorSet, Psi_u: np.ndarray,
     if ops.M_g0 is None:
         raise ValueError("reduce_operators needs subdomain operators with interface blocks")
 
+    system = ops.state_matrix()
     return ReducedOperatorSet(
-        side=ops.side, nu=ops.nu, dt=ops.dt, Psi_u=Psi_u, Psi_mu=Psi_mu,
-        Mh=_project(ops.M, Psi_u), Kh=_project(ops.K, Psi_u),
-        Ah=_project(ops.A, Psi_u), Sh_state=_project(ops.S_state, Psi_u),
-        Mh_mu=_project(ops.M, Psi_mu), Kh_mu=_project(ops.K, Psi_mu),
-        Ah_mu=_project(ops.A, Psi_mu), Sh_adjoint=_project(ops.S_adjoint, Psi_mu),
+        side=ops.side, dt=ops.dt, Psi_u=Psi_u, Psi_mu=Psi_mu,
+        Mh=_project(ops.M, Psi_u),
+        state_lu=scipy.linalg.lu_factor(_project(system, Psi_u)),
+        adjoint_lu=scipy.linalg.lu_factor(_project(system.T, Psi_mu)),
         PsiT_Mg0=(ops.M_g0.T @ Psi_u).T.copy(),
         PsiT_mu_Mg0=(ops.M_g0.T @ Psi_mu).T.copy(),
         trace_u=Psi_u[trace_free, :].copy(),
@@ -192,12 +169,12 @@ def rom_state_step(rops: ReducedOperatorSet, uhat_prev: np.ndarray,
         rhs = rhs + f_hat
     if g is not None:
         rhs = rhs + sign_of(side) * (rops.PsiT_Mg0 @ g)
-    return scipy.linalg.lu_solve(rops.state_lu(), rhs)
+    return scipy.linalg.lu_solve(rops.state_lu, rhs)
 
 
 def rom_adjoint_from_jump(rops: ReducedOperatorSet, jump: np.ndarray,
                           side: int) -> np.ndarray:
     """Reduced adjoint solve from a control-ordered interface jump."""
-    return scipy.linalg.lu_solve(rops.adjoint_lu(),
+    return scipy.linalg.lu_solve(rops.adjoint_lu,
                                  sign_of(side) * (rops.PsiT_mu_Mg0 @ jump))
 

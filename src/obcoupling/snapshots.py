@@ -71,6 +71,7 @@ def split_monolithic_snapshots(traj: Trajectory, dec: Decomposition) -> Snapshot
 
     Every subdomain free node is interior to the parent domain (interface
     nodes included), so each restricted column is a plain row selection.
+    The matrices are column-major, so a time level is contiguous.
     """
     parent_to_free = np.full(dec.parent.n_nodes, -1, dtype=np.int64)
     parent_to_free[traj.free_nodes] = np.arange(traj.free_nodes.size)
@@ -83,7 +84,7 @@ def split_monolithic_snapshots(traj: Trajectory, dec: Decomposition) -> Snapshot
         if (rows < 0).any():
             raise ValueError("subdomain free node missing from monolithic free set")
         store.matrices[f"state_{side}"] = SnapshotMatrix(
-            data=traj.data[rows, :].copy(), kind="state", subdomain=side)
+            data=np.take(traj.data.T, rows, axis=1).T, kind="state", subdomain=side)
     return store
 
 
@@ -227,7 +228,8 @@ def write_snapshot_file(path, matrix: np.ndarray, meta: dict | None = None):
 
 
 def read_snapshot_file(path) -> tuple[np.ndarray, dict]:
-    """Read a SNAP1 container; raises InputError on any malformed layout."""
+    """Read a SNAP1 container into a column-major matrix; raises InputError
+    on any malformed layout."""
     raw = Path(path).read_bytes()
     head_len = len(_MAGIC) + 1 + _HEADER.size
     if len(raw) < head_len:
@@ -247,7 +249,7 @@ def read_snapshot_file(path) -> tuple[np.ndarray, dict]:
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise InputError(f"{path}: bad metadata blob: {exc}") from exc
     flat = np.frombuffer(raw, dtype="<f8", count=rows * cols, offset=data_start)
-    return flat.reshape((rows, cols), order="F").copy(), meta
+    return flat.reshape((rows, cols), order="F").copy(order="F"), meta
 
 
 def write_store(store: SnapshotStore, directory):

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from obcoupling import assembly
+from obcoupling import assembly, fom, linalg
 from obcoupling.geometry import build_mesh, decompose
 
 
@@ -84,7 +84,7 @@ def test_advection_skew_part_is_boundary_flux():
 
 def test_boundary_flux_helper_matches_oracle():
     mesh = build_mesh(4, 5)
-    E = assembly.assemble_boundary_flux(mesh, rotation).toarray()
+    E = oracles.boundary_flux_sparse(mesh, rotation).toarray()
     np.testing.assert_allclose(E, oracles.boundary_flux_dense(mesh, rotation),
                                atol=1e-13)
 
@@ -110,13 +110,45 @@ def test_supg_vanishes_without_advection():
 
 
 def test_adjoint_operator_is_exact_transpose():
-    mesh = build_mesh(6, 5)
+    # the adjoint factor solves with the transposed state system, for one
+    # right-hand side and for a block of them
+    dec = decompose(build_mesh(8, 6), 0.5)
+    rng = np.random.default_rng(12)
     for supg in (False, True):
-        ops = assembly.assemble_operators(mesh, mesh.boundary_nodes, nu=1e-4,
-                                          dt=0.02, advection=rotation,
-                                          supg_on=supg)
-        gap = (ops.state_matrix().T - ops.adjoint_matrix())
-        assert abs(gap).max() == 0.0
+        for side in (1, 2):
+            ops = assembly.subdomain_operators(dec, side, nu=1e-4, dt=0.02,
+                                               advection=rotation, supg_on=supg)
+            L = ops.state_matrix()
+            assert abs(L - L.T).max() > 0  # the transpose is a different system
+            for rhs in (rng.standard_normal(ops.n_free),
+                        rng.standard_normal((ops.n_free, 5))):
+                mu = ops.adjoint_factor().solve(rhs)
+                assert mu.shape == rhs.shape
+                assert (np.linalg.norm(L.T @ mu - rhs)
+                        <= 1e-12 * np.linalg.norm(rhs))
+
+
+def test_one_factorization_per_operator_set(monkeypatch):
+    # state and adjoint solves, and the trace response, share one LU
+    calls = []
+    factorize = linalg.factorize
+
+    def counting(matrix):
+        calls.append(matrix.shape)
+        return factorize(matrix)
+
+    monkeypatch.setattr(linalg, "factorize", counting)
+    dec = decompose(build_mesh(8, 8), 0.5)
+    ops = assembly.subdomain_operators(dec, 2, nu=1e-2, dt=5e-2,
+                                       advection=rotation, supg_on=True)
+    rng = np.random.default_rng(2)
+    ops.state_factor()
+    ops.adjoint_factor()
+    ops.trace_response(dec.trace_free(2))
+    fom.state_step(ops, rng.standard_normal(ops.n_free),
+                   rng.standard_normal(dec.n_control), None, 2)
+    fom.adjoint_solve(ops, rng.standard_normal(dec.n_control), 2)
+    assert calls == [(ops.n_free, ops.n_free)]
 
 
 def test_trace_response_matches_sparse_solves():

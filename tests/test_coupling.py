@@ -191,6 +191,39 @@ def test_descent_stops_when_accepted_trial_leaves_control_unchanged():
     np.testing.assert_array_equal(g, g0)
 
 
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 6), seed=st.integers(0, 2**32 - 1),
+       scale=st.sampled_from([1e-6, 1.0, 1e3]),
+       delta=st.sampled_from([0.0, 1e-16, 1e-3, 1.0]),
+       alpha0=st.sampled_from([1e-3, 1.0, 2.0, 1e6]),
+       tol=st.sampled_from([1e-14, 1e-8, 1e-2]),
+       max_iters=st.integers(1, 200))
+def test_descent_property_on_random_interface_systems(n, seed, scale, delta,
+                                                      alpha0, tol, max_iters):
+    # whatever (j0, R, G) is, the descent only accepts finite objectives that
+    # do not increase, and reports convergence only below the tolerance
+    rng = np.random.default_rng(seed)
+    j0 = scale * rng.standard_normal(n)
+    R = rng.standard_normal((n, n))
+    G = rng.standard_normal((n, n))
+    g0 = rng.standard_normal(n) if seed % 2 else np.zeros(n)
+    B = rng.standard_normal((n, n))
+    M_g = B @ B.T + n * np.eye(n)
+    cfg = coupling.CouplingConfig(delta=delta, tol=tol, alpha0=alpha0,
+                                  max_iters=max_iters, record_history=True)
+    with np.errstate(over="ignore", invalid="ignore"):
+        g, stats = coupling.descent_timestep(j0, R, G, g0, cfg, M_g)
+    hist = np.array(stats.accepted_objectives)
+    assert np.isfinite(hist).all()
+    assert (np.diff(hist) <= 0.0).all()
+    assert stats.objective == hist[-1]
+    assert stats.iterations <= max_iters
+    assert stats.converged == (stats.objective < tol)
+    assert np.isfinite(g).all()
+    assert stats.objective == coupling._objective_from_jump(
+        j0 + R @ g, g, delta, M_g)
+
+
 def test_transient_fom_vs_monolithic_short():
     prob = desk_problem(n_steps=6)
     cfg = coupling.CouplingConfig(delta=1e-16, tol=1e-14, supg_on=True)
@@ -286,7 +319,8 @@ def test_accepted_states_match_sparse_state_step(seed, n_steps, nu, supg_on,
             if source is not None:
                 f = assembly.assemble_load(dec.sub(side), dec.free_nodes(side),
                                            source, n * dt)
-            want = fom.state_step(ops, traj[:, n - 1], res.control.at(n), f, side)
+            want = fom.state_step(ops, traj[:, n - 1], res.control.values[:, n],
+                                  f, side)
             err = np.linalg.norm(traj[:, n] - want) / np.linalg.norm(want)
             assert err <= 1e-12
 

@@ -34,6 +34,21 @@ def test_factorization_matches_dense_solve():
                                np.linalg.solve(dense, stacked), rtol=1e-12)
 
 
+def test_transposed_view_shares_the_factors():
+    rng = np.random.default_rng(4)
+    dense = rng.standard_normal((12, 12)) + 12 * np.eye(12)
+    fact = linalg.factorize(sp.csr_matrix(dense))
+    rhs = rng.standard_normal((12, 3))
+    np.testing.assert_allclose(fact.T.solve(rhs), np.linalg.solve(dense.T, rhs),
+                               rtol=1e-12)
+    np.testing.assert_array_equal(fact.T.T.solve(rhs), fact.solve(rhs))
+    np.testing.assert_allclose(dense @ fact.T.T.solve(rhs[:, 0]), rhs[:, 0],
+                               rtol=1e-12)
+    assert fact.T._lu is fact._lu
+    with pytest.raises(ValueError):
+        fact.T.solve(np.ones(5))
+
+
 def test_factorization_rejects_bad_shapes():
     with pytest.raises(ValueError):
         linalg.factorize(sp.csr_matrix(np.ones((3, 4))))

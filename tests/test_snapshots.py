@@ -182,7 +182,7 @@ def test_mgd_matches_sparse_solve_oracle(m, delta, source):
            for s in (1, 2)}
     tf = {s: dec.trace_free(s) for s in (1, 2)}
     loads = {s: coupling.make_loads(prob, dec, s) for s in (1, 2)}
-    adjoint_matrix = {s: ops[s].adjoint_matrix() for s in (1, 2)}
+    adjoint_matrix = {s: ops[s].state_matrix().T for s in (1, 2)}
     off = {}
     for s in (1, 2):
         off[s] = np.ones(dec.free_nodes(s).size, dtype=bool)
@@ -248,6 +248,34 @@ def test_mgd1_matches_coupled_collection_quality():
             basis = rom.full_pod(store[f"adjoint_{side}"])
             errs = rom.projection_error(basis.truncate(100), held_out)
             assert errs.max() <= 1e-12
+
+
+@pytest.mark.parametrize("source", [None, 10.0], ids=["no-source", "f=10"])
+def test_state_matrices_are_column_major_and_layout_free(tmp_path, source):
+    # split and read-back histories are Fortran-ordered, so a time level is
+    # contiguous; the MGD pairs do not depend on the history's memory layout
+    prob = desk_problem(n_steps=4)
+    if source is not None:
+        prob = dataclasses.replace(prob, f=lambda x, y, t: source)
+    traj = fom.monolithic_solve(prob, supg_on=True)
+    states = snapshots.split_monolithic_snapshots(traj, prob.decomposition)
+    snapshots.write_store(states, tmp_path)
+    back = snapshots.read_store(tmp_path)
+    for store in (states, back):
+        for key in ("state_1", "state_2"):
+            assert store[key].data.flags.f_contiguous
+            assert store[key].data.tobytes("F") == states[key].data.tobytes("F")
+    c_order = snapshots.SnapshotStore(matrices={
+        key: dataclasses.replace(states[key],
+                                 data=np.ascontiguousarray(states[key].data))
+        for key in ("state_1", "state_2")})
+    assert c_order["state_1"].data.flags.c_contiguous
+    cfg = coupling.CouplingConfig(delta=1e-3, supg_on=True)
+    for m in (1, 3):
+        ref = snapshots.collect_mgd(prob, states, m, cfg)
+        got = snapshots.collect_mgd(prob, c_order, m, cfg)
+        for key in ("adjoint_1", "adjoint_2"):
+            assert got[key].data.tobytes() == ref[key].data.tobytes()
 
 
 def test_mgd_validates_inputs():
