@@ -34,7 +34,7 @@ import scipy.sparse as sp
 
 from obcoupling import linalg
 from obcoupling.errors import InputError
-from obcoupling.geometry import Decomposition, Mesh
+from obcoupling.geometry import Decomposition, Mesh, free_arrays
 
 
 @dataclass(frozen=True)
@@ -234,11 +234,7 @@ def assemble_operators(mesh: Mesh, dirichlet_nodes: np.ndarray, *, nu: float,
     dirichlet_nodes = np.asarray(dirichlet_nodes, dtype=np.int64)
     M, K, A, S = _assemble_volume(mesh, advection, nu, dt, supg_on)
 
-    mask = np.ones(mesh.n_nodes, dtype=bool)
-    mask[dirichlet_nodes] = False
-    free = np.flatnonzero(mask)
-    node_to_free = np.full(mesh.n_nodes, -1, dtype=np.int64)
-    node_to_free[free] = np.arange(free.size)
+    free, node_to_free = free_arrays(mesh.n_nodes, dirichlet_nodes)
 
     def restrict(mat):
         return mat[free][:, free].tocsr()

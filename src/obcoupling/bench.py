@@ -16,10 +16,11 @@ separate timings file.
 
 from __future__ import annotations
 
+import collections
 import csv
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -154,6 +155,7 @@ class ReportRow:
     total_iterations: int
     all_converged: bool
     wall_seconds: float
+    stop_counts: dict[str, int] = field(default_factory=dict)  # steps per stop reason
 
 
 _REPORT_COLUMNS = ["label", "state_modes", "adjoint_source", "adjoint_modes",
@@ -198,6 +200,8 @@ class ExperimentContext:
 
     Builds the monolithic reference, the state snapshot split, and any
     requested basis lazily, caching each so repeated entries reuse them.
+    Full-order sides, reductions and the error metric all use the problem's
+    operators (``ProblemSpec.operators``), built once per experiment.
     """
 
     def __init__(self, spec: BenchmarkSpec):
@@ -207,7 +211,6 @@ class ExperimentContext:
         self._mono = None
         self._mono_wall = None
         self._states = None
-        self._metric_ops = None
         self._bases: dict[tuple[str, int], rom.ReducedBasis] = {}
         self._adjoint_stores: dict[str, snapshots.SnapshotStore] = {}
 
@@ -232,15 +235,6 @@ class ExperimentContext:
     def reference_finals(self) -> tuple[np.ndarray, np.ndarray]:
         store = self.state_store()
         return store["state_1"].data[:, -1], store["state_2"].data[:, -1]
-
-    def metric_ops(self):
-        if self._metric_ops is None:
-            dec = self.problem.decomposition
-            self._metric_ops = tuple(
-                assembly.subdomain_operators(dec, side, nu=self.problem.nu,
-                                             dt=self.problem.dt)
-                for side in (1, 2))
-        return self._metric_ops
 
     def adjoint_store(self, source: str) -> snapshots.SnapshotStore:
         if source not in self._adjoint_stores:
@@ -274,9 +268,6 @@ class ExperimentContext:
         """Reduced operator sets per side for one entry (None = full order)."""
         state_rops = [None, None]
         adjoint_rops = [None, None]
-        if entry.state_modes is None and entry.adjoint_modes is None:
-            return tuple(state_rops), tuple(adjoint_rops)
-
         dec = self.problem.decomposition
         for side in (1, 2):
             psi_u = psi_mu = None
@@ -287,9 +278,7 @@ class ExperimentContext:
                 psi_mu = self.basis(source, side).truncate(entry.adjoint_modes).Psi
             if psi_u is None and psi_mu is None:
                 continue
-            ops = assembly.subdomain_operators(
-                dec, side, nu=self.problem.nu, dt=self.problem.dt,
-                advection=self.problem.a, supg_on=self.spec.supg_on)
+            ops = self.problem.operators(side, self.spec.supg_on)
             rops = rom.reduce_operators(ops, psi_u if psi_u is not None else psi_mu,
                                         psi_mu, trace_free=dec.trace_free(side))
             if psi_u is not None:
@@ -305,9 +294,10 @@ class ExperimentContext:
                                         adjoint_rops=adjoint_rops,
                                         keep_trajectories=False)
         ref_1, ref_2 = self.reference_finals()
-        ops_1, ops_2 = self.metric_ops()
-        errs = relative_errors(ops_1, ops_2, result.final_1, result.final_2,
-                               ref_1, ref_2)
+        # M and K, all the metric reads, do not depend on advection or SUPG
+        errs = relative_errors(self.problem.operators(1, self.spec.supg_on),
+                               self.problem.operators(2, self.spec.supg_on),
+                               result.final_1, result.final_2, ref_1, ref_2)
         row = ReportRow(
             label=entry.label,
             state_modes=entry.state_modes or 0,
@@ -319,7 +309,8 @@ class ExperimentContext:
             avg_iterations=result.avg_iterations,
             total_iterations=result.total_iterations,
             all_converged=result.all_converged,
-            wall_seconds=result.wall_time)
+            wall_seconds=result.wall_time,
+            stop_counts=dict(collections.Counter(s.stop_reason for s in result.stats)))
         return row, result
 
 

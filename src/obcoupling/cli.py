@@ -99,6 +99,15 @@ def _parse_adjoint_model(text: str):
     return source, modes
 
 
+def _warn_early_stops(rows) -> None:
+    """One stderr line counting the timesteps that stopped short of tol."""
+    early = [f"{row.label}: {n} {why}" for row in rows
+             for why, n in sorted(row.stop_counts.items()) if why != "tol"]
+    if early:
+        print(f"warning: timesteps stopped before reaching tol: {'; '.join(early)}",
+              file=sys.stderr)
+
+
 def cmd_monolithic(args) -> int:
     spec = _benchmark_spec(args)
     problem = spec.problem()
@@ -143,10 +152,7 @@ def cmd_pod(args) -> int:
     if args.key not in store:
         return _fail(f"store has no matrix {args.key!r}; "
                      f"available: {sorted(store.keys())}")
-    sm = store[args.key]
-    if not 1 <= args.modes <= min(sm.data.shape):
-        return _fail(f"--modes must be in [1, {min(sm.data.shape)}]")
-    basis = rom.pod(sm, args.modes)
+    basis = rom.full_pod(store[args.key]).truncate(args.modes)
     energy = rom.snapshot_energy(basis.sigma)
 
     out = Path(args.out)
@@ -177,6 +183,7 @@ def cmd_couple(args) -> int:
     print(f"{row.label}: rel L2 {row.rel_l2:.6e}, rel H1 {row.rel_h1:.6e}, "
           f"avg iterations {row.avg_iterations:.2f}, "
           f"converged {row.all_converged}, wall {row.wall_seconds:.2f}s")
+    _warn_early_stops([row])
     if args.report is not None:
         bench.write_report_csv([row], args.report)
         print(f"report written to {args.report}")
@@ -194,6 +201,7 @@ def cmd_report(args) -> int:
         print(f"{row.label}: rel L2 {row.rel_l2:.6e}, "
               f"avg iterations {row.avg_iterations:.2f}")
     print(f"report files written to {args.out}")
+    _warn_early_stops(rows)
     if args.strict and not all(row.all_converged for row in rows):
         return 1
     return 0

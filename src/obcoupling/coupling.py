@@ -24,9 +24,10 @@ R = sign_1 T_1 Z_1 - sign_2 T_2 Z_2 and G = sign_1 T_1 Y_1 - sign_2 T_2 Y_2.
 An InterfaceResponse holds Z_i and Y_i of one side; its state half and its
 adjoint half each come from a full-order or a reduced model. Cost model: per
 side, one multi-column solve per run for Z_i and one for Y_i (a full-order
-Y_i is read from ``OperatorSet.trace_response``, the maps MGD collection
-uses too), and one sparse (or reduced) solve per timestep for u_i(0); every
-descent trial is a few n_control x n_control matvecs.
+Y_i is read from the ``trace_response`` of ``problem.operators``, so it is
+solved once per problem and shared with MGD collection), and one sparse (or
+reduced) solve per timestep for u_i(0); every descent trial is a few
+n_control x n_control matvecs.
 """
 
 from __future__ import annotations
@@ -84,6 +85,7 @@ class IterationStats:
     objective: float         # final value of J
     converged: bool
     wall_time: float
+    stop_reason: str         # "tol", "max_iters", "stagnated" or "non_finite"
     accepted_objectives: list[float] | None = None
 
 
@@ -180,7 +182,8 @@ def descent_timestep(j0: np.ndarray, R: np.ndarray, G: np.ndarray, g0: np.ndarra
     rejected: the step halves and the same direction is retried; directions
     are recomputed only after accepts. An accepted trial that leaves g
     bitwise unchanged ends the step unconverged, since no later trial can
-    move it. ``recorder(step_index, jump)`` is invoked for every direction.
+    move it. A step whose starting J is not finite makes no trial.
+    ``recorder(step_index, jump)`` is invoked for every direction.
     """
     t_start = time.perf_counter()
     delta, tol = config.delta, config.tol
@@ -195,8 +198,9 @@ def descent_timestep(j0: np.ndarray, R: np.ndarray, G: np.ndarray, g0: np.ndarra
     reductions = 0
     accepted = [obj] if config.record_history else None
     trace_diff = None
+    stop = None if math.isfinite(obj) else "non_finite"
 
-    while obj >= tol and iterations < config.max_iters:
+    while stop is None and obj >= tol and iterations < config.max_iters:
         if trace_diff is None:
             trace_diff = G @ jump
             directions += 1
@@ -214,17 +218,21 @@ def descent_timestep(j0: np.ndarray, R: np.ndarray, G: np.ndarray, g0: np.ndarra
             reductions += 1
             continue
         if np.array_equal(g_try, g):
-            break  # the step fell below roundoff: g can no longer move
+            stop = "stagnated"  # the step fell below roundoff: g cannot move
+            break
 
         g, jump, obj = g_try, jump_try, obj_try
         trace_diff = None
         if accepted is not None:
             accepted.append(obj)
 
+    if stop is None:
+        stop = "tol" if obj < tol else "max_iters"
     stats = IterationStats(
         step=step_index, iterations=iterations, directions=directions,
-        alpha_reductions=reductions, objective=obj, converged=bool(obj < tol),
-        wall_time=time.perf_counter() - t_start, accepted_objectives=accepted)
+        alpha_reductions=reductions, objective=obj, converged=stop == "tol",
+        wall_time=time.perf_counter() - t_start, stop_reason=stop,
+        accepted_objectives=accepted)
     return g, stats
 
 
@@ -273,18 +281,16 @@ def run_transient(problem: ProblemSpec, config: CouplingConfig, *,
 
     ``state_rops`` / ``adjoint_rops`` select the model per subdomain: a
     ReducedOperatorSet runs that half of the side reduced, None runs it full
-    order. Reduced and full halves mix freely. ``recorder(step, mu_1, mu_2)``
-    receives the free-DOF adjoint pair of every descent direction.
+    order on ``problem.operators(side, config.supg_on)``. Reduced and full
+    halves mix freely. ``recorder(step, mu_1, mu_2)`` receives the free-DOF
+    adjoint pair of every descent direction.
     """
     dec = problem.decomposition
     n_steps = problem.n_steps
 
-    ops = [None, None]
-    for side in (1, 2):
-        if state_rops[side - 1] is None or adjoint_rops[side - 1] is None:
-            ops[side - 1] = assembly.subdomain_operators(
-                dec, side, nu=problem.nu, dt=problem.dt, advection=problem.a,
-                supg_on=config.supg_on)
+    ops = [problem.operators(side, config.supg_on)
+           if state_rops[side - 1] is None or adjoint_rops[side - 1] is None
+           else None for side in (1, 2)]
 
     t_start = time.perf_counter()
     sides = []
@@ -345,16 +351,14 @@ def random_gradient_instance(level: int = 8, *, seed: int = 0, nu: float = 1e-2,
     Returns (dec, ops_1, ops_2, u_prev_1, u_prev_2, g) on a level x level
     grid split at x = 0.5 under a rotating advection field.
     """
-    mesh = build_mesh(level, level)
-    dec = decompose(mesh, 0.5)
+    dec = decompose(build_mesh(level, level), 0.5)
 
     def advection(x, y):
         return 0.5 - np.asarray(y), np.asarray(x) - 0.5
 
-    ops_1 = assembly.subdomain_operators(dec, 1, nu=nu, dt=dt,
-                                         advection=advection, supg_on=supg_on)
-    ops_2 = assembly.subdomain_operators(dec, 2, nu=nu, dt=dt,
-                                         advection=advection, supg_on=supg_on)
+    ops_1, ops_2 = (assembly.subdomain_operators(dec, side, nu=nu, dt=dt,
+                                                 advection=advection, supg_on=supg_on)
+                    for side in (1, 2))
     rng = np.random.default_rng(seed)
     u_prev_1 = rng.standard_normal(dec.free_nodes(1).size)
     u_prev_2 = rng.standard_normal(dec.free_nodes(2).size)

@@ -17,7 +17,7 @@ every step and every descent iteration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -30,7 +30,8 @@ from obcoupling.geometry import Decomposition, Mesh
 class ProblemSpec:
     """Transient advection-diffusion transmission problem on a split rectangle.
 
-    The outer walls carry homogeneous Dirichlet data.
+    The outer walls carry homogeneous Dirichlet data. :meth:`operators` builds
+    each side's operators once for every consumer; ``replace`` copies none.
     """
 
     decomposition: Decomposition
@@ -40,6 +41,16 @@ class ProblemSpec:
     u0: np.ndarray     # nodal initial condition on the parent mesh (all nodes)
     dt: float
     T: float
+    _operators: dict = field(default_factory=dict, init=False, repr=False,
+                             compare=False)
+
+    def operators(self, side: int, supg_on: bool) -> assembly.OperatorSet:
+        """Subdomain ``side``'s operator set, assembled on first use."""
+        if (side, supg_on) not in self._operators:
+            self._operators[side, supg_on] = assembly.subdomain_operators(
+                self.decomposition, side, nu=self.nu, dt=self.dt,
+                advection=self.a, supg_on=supg_on)
+        return self._operators[side, supg_on]
 
     @property
     def mesh(self) -> Mesh:

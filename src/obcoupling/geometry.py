@@ -175,7 +175,8 @@ def _submesh(parent: Mesh, i_lo: int, i_hi: int) -> tuple[Mesh, np.ndarray]:
     return mesh, node_map
 
 
-def _free_arrays(n_nodes: int, dirichlet: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def free_arrays(n_nodes: int, dirichlet: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted free nodes and the node -> free index map (-1 on Dirichlet nodes)."""
     mask = np.ones(n_nodes, dtype=bool)
     mask[dirichlet] = False
     free = np.flatnonzero(mask)
@@ -209,8 +210,8 @@ def decompose(mesh: Mesh, interface_x: float) -> Decomposition:
     # Dirichlet: full subdomain boundary minus the interior interface nodes.
     dir1 = np.setdiff1d(sub1.boundary_nodes, iface1[1:-1])
     dir2 = np.setdiff1d(sub2.boundary_nodes, iface2[1:-1])
-    free1, n2f1 = _free_arrays(sub1.n_nodes, dir1)
-    free2, n2f2 = _free_arrays(sub2.n_nodes, dir2)
+    free1, n2f1 = free_arrays(sub1.n_nodes, dir1)
+    free2, n2f2 = free_arrays(sub2.n_nodes, dir2)
 
     control_nodes_1 = iface1[1:-1]
     control_y = sub1.coords[control_nodes_1, 1].copy()

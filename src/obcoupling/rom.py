@@ -50,16 +50,6 @@ class ReducedBasis:
         return ReducedBasis(Psi=self.Psi[:, :n_modes], sigma=self.sigma)
 
 
-def pod(snapshots, n_modes: int) -> ReducedBasis:
-    """Leading n_modes left singular vectors of a snapshot matrix."""
-    data = snapshots.data if isinstance(snapshots, SnapshotMatrix) else np.asarray(snapshots)
-    max_modes = min(data.shape)
-    if not 1 <= n_modes <= max_modes:
-        raise InputError(f"n_modes must be in [1, {max_modes}], got {n_modes}")
-    u, s, _ = linalg.thin_svd(data)
-    return ReducedBasis(Psi=u[:, :n_modes].copy(), sigma=s)
-
-
 def full_pod(snapshots) -> ReducedBasis:
     """All left singular vectors; truncate() yields every nested basis."""
     data = snapshots.data if isinstance(snapshots, SnapshotMatrix) else np.asarray(snapshots)

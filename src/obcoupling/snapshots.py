@@ -13,9 +13,10 @@ subdomains. Adjoint snapshots come from two collectors:
   completely: each writes into preallocated column slots, making the result
   bitwise identical for any execution order. Exactly m pairs per timestep.
   The descent is linear in the interface: with W_i = A_i^{-T} T_i^T and
-  Y_i = A_i^{-T} M_g0 from one multi-column adjoint solve per side and run
-  (``OperatorSet.trace_response``), a pair costs a few dense matvecs of
-  n_control x n_free matrices and no sparse solve. The zero-control jump is
+  Y_i = A_i^{-T} M_g0 from one multi-column adjoint solve per side and
+  problem (``trace_response`` of ``problem.operators``, shared with the
+  coupled run), a pair costs a few dense matvecs of n_control x n_free
+  matrices and no sparse solve. The zero-control jump is
   j0 = P_1 s_1 - P_2 s_2 (+ W_1^T f_1 - W_2^T f_2) with P_i = W_i^T M_i / dt
   and s_i the history column, the jump at control g is j0 + R g, and the
   pair is mu_i = sign_i Y_i jump (R and G as in ``coupling``).
@@ -36,7 +37,7 @@ from pathlib import Path
 
 import numpy as np
 
-from obcoupling import assembly, coupling
+from obcoupling import coupling
 from obcoupling.errors import InputError
 from obcoupling.fom import ProblemSpec, Trajectory, sign_of
 # not called here; span tracers patch these names at this lookup site
@@ -183,12 +184,9 @@ def collect_mgd(problem: ProblemSpec, states: SnapshotStore, m: int,
                              f"the problem's subdomain {side} has "
                              f"{dec.free_nodes(side).size} free nodes")
 
-    ops_1 = assembly.subdomain_operators(dec, 1, nu=problem.nu, dt=problem.dt,
-                                         advection=problem.a, supg_on=config.supg_on)
-    ops_2 = assembly.subdomain_operators(dec, 2, nu=problem.nu, dt=problem.dt,
-                                         advection=problem.a, supg_on=config.supg_on)
-    tf_1 = dec.trace_free(1)
-    tf_2 = dec.trace_free(2)
+    ops_1 = problem.operators(1, config.supg_on)
+    ops_2 = problem.operators(2, config.supg_on)
+    tf_1, tf_2 = dec.trace_free(1), dec.trace_free(2)
 
     loads = None
     if problem.f is not None:

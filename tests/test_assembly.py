@@ -109,6 +109,19 @@ def test_supg_vanishes_without_advection():
     assert ops_off.S_state.nnz == 0
 
 
+def test_mass_and_stiffness_ignore_advection_and_supg():
+    # the error metric reads M and K from the stabilized operators
+    dec = decompose(build_mesh(16, 16), 0.5)
+    for side in (1, 2):
+        plain = assembly.subdomain_operators(dec, side, nu=1e-5, dt=4e-3)
+        stab = assembly.subdomain_operators(dec, side, nu=1e-5, dt=4e-3,
+                                            advection=rotation, supg_on=True)
+        for name in ("M", "K"):
+            a, b = getattr(plain, name), getattr(stab, name)
+            for part in ("indptr", "indices", "data"):
+                np.testing.assert_array_equal(getattr(a, part), getattr(b, part))
+
+
 def test_adjoint_operator_is_exact_transpose():
     # the adjoint factor solves with the transposed state system, for one
     # right-hand side and for a block of them

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from obcoupling import assembly, bench, fom
+from obcoupling import assembly, bench, fom, linalg
 
 
 def test_initial_condition_features():
@@ -144,3 +144,18 @@ def test_experiment_context_smoke(tmp_path):
     for row in rows:
         assert row.all_converged
         assert np.isfinite(row.wall_seconds)
+
+
+def test_experiment_builds_each_sides_operators_once(monkeypatch):
+    # the coupled runs, the MGD collection, the reductions and the error
+    # metric share the problem's operators: one assembly per side, and one
+    # LU per side plus the monolithic reference's
+    calls = {"subdomain_operators": 0, "factorize": 0}
+    for module, name in ((assembly, "subdomain_operators"), (linalg, "factorize")):
+        def counting(*args, _original=getattr(module, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(module, name, counting)
+    bench.run_experiment(bench.BenchmarkSpec(level=16, T=2.0),
+                         bench.standard_entries())
+    assert calls == {"subdomain_operators": 2, "factorize": 3}

@@ -42,8 +42,9 @@ def test_couple_fom_reports_errors(tmp_path, capsys):
     report = tmp_path / "row.csv"
     code = cli.main(["couple", *DESK, *LOOSE, "--report", str(report)])
     assert code == 0
-    out = capsys.readouterr().out
-    assert "rel L2" in out
+    captured = capsys.readouterr()
+    assert "rel L2" in captured.out
+    assert "warning" not in captured.err
     lines = report.read_text().splitlines()
     assert len(lines) == 2
     header = lines[0].split(",")
@@ -60,11 +61,16 @@ def test_couple_rom_state_and_adjoint(capsys):
     assert "rel L2" in out and out.startswith("rom:6/mgd1:5")
 
 
-def test_couple_strict_exit():
-    # one iteration per step cannot reach the tolerance
-    code = cli.main(["couple", *DESK, "--delta", "1e-16", "--tol", "1e-14",
-                     "--max-iters", "1", "--strict"])
-    assert code == 1
+def test_couple_strict_exit(capsys):
+    # one iteration per step cannot reach the tolerance: every one of the 6
+    # steps stops at max_iters, reported with or without --strict
+    argv = ["couple", *DESK, "--delta", "1e-16", "--tol", "1e-14",
+            "--max-iters", "1"]
+    assert cli.main(argv) == 0
+    assert "warning: timesteps stopped before reaching tol: " \
+        "fom/full: 6 max_iters" in capsys.readouterr().err
+    assert cli.main([*argv, "--strict"]) == 1
+    assert "6 max_iters" in capsys.readouterr().err
 
 
 def test_collect_adjoint_gdra(tmp_path):
@@ -118,7 +124,7 @@ def test_gradcheck_command(capsys):
                      "--check-tol", "1e-30"]) == 1
 
 
-def test_report_command(tmp_path):
+def test_report_command(tmp_path, capsys):
     # the standard entries use 100/50 modes, which needs at least 100 free
     # nodes per subdomain (level 16 has 120) and at least 100 snapshots
     # (a full rotation at dt = 5e-2 is 126 steps)
@@ -132,6 +138,14 @@ def test_report_command(tmp_path):
     assert text.splitlines()[1].startswith("fom-fom")
     assert (outdir / "timings.csv").exists()
     assert (outdir / "singular_values.csv").exists()
+
+    # steps cut short are counted on stderr, the exit code is unchanged
+    capsys.readouterr()
+    assert cli.main(["report", "--config", str(cfg), "--max-iters", "1",
+                     "--out", str(tmp_path / "short")]) == 0
+    err = capsys.readouterr().err
+    assert err.count("warning:") == 1 and "fom-fom: " in err
+    assert "rs-fa-50: 126 max_iters" in err
 
 
 def test_report_with_too_few_snapshots_exits_2(tmp_path, capsys):

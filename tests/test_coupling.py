@@ -98,7 +98,7 @@ def test_descent_zero_iterations_when_already_converged():
         *interface_system(responses, u_prev), g0, cfg, ops[0].M_g)
     assert stats.iterations == 0
     assert stats.directions == 0
-    assert stats.converged
+    assert stats.converged and stats.stop_reason == "tol"
     np.testing.assert_array_equal(g, g0)
 
 
@@ -125,6 +125,7 @@ def test_descent_single_update_algebra():
         *interface_system(responses, u_prev), g0, cfg, M_g)
     assert stats.iterations == 1
     assert stats.directions == 1
+    assert not stats.converged and stats.stop_reason == "max_iters"
     np.testing.assert_allclose(g, expected, rtol=0,
                                atol=1e-13 * np.abs(expected).max())
 
@@ -187,7 +188,24 @@ def test_descent_stops_when_accepted_trial_leaves_control_unchanged():
                                          ops[0].M_g)
     assert stats.iterations == 1
     assert stats.directions == 1
-    assert not stats.converged
+    assert not stats.converged and stats.stop_reason == "stagnated"
+    np.testing.assert_array_equal(g, g0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_descent_stops_at_a_non_finite_start(bad):
+    # a non-finite zero-control jump makes J non-finite before any trial:
+    # the step makes none and says why instead of passing as unconverged
+    dec = decompose(build_mesh(6, 4), 0.5)
+    ops, responses, u_prev = fom_responses(dec)
+    j0, R, G = interface_system(responses, u_prev)
+    j0[2] = bad
+    cfg = coupling.CouplingConfig(delta=1e-16, tol=1e-14, max_iters=50)
+    g0 = np.zeros(dec.n_control)
+    with np.errstate(invalid="ignore"):
+        g, stats = coupling.descent_timestep(j0, R, G, g0, cfg, ops[0].M_g)
+    assert stats.stop_reason == "non_finite" and not stats.converged
+    assert stats.iterations == 0 and stats.directions == 0
     np.testing.assert_array_equal(g, g0)
 
 
@@ -219,6 +237,8 @@ def test_descent_property_on_random_interface_systems(n, seed, scale, delta,
     assert stats.objective == hist[-1]
     assert stats.iterations <= max_iters
     assert stats.converged == (stats.objective < tol)
+    assert stats.converged == (stats.stop_reason == "tol")
+    assert stats.stop_reason in ("tol", "max_iters", "stagnated", "non_finite")
     assert np.isfinite(g).all()
     assert stats.objective == coupling._objective_from_jump(
         j0 + R @ g, g, delta, M_g)
@@ -277,7 +297,7 @@ def test_mixed_rom_fom_sides_run():
     store = snapshots.split_monolithic_snapshots(mono, dec)
     ops_1 = assembly.subdomain_operators(dec, 1, nu=prob.nu, dt=prob.dt,
                                          advection=prob.a, supg_on=True)
-    basis = rom.pod(store["state_1"], 4)
+    basis = rom.full_pod(store["state_1"]).truncate(4)
     rops_1 = rom.reduce_operators(ops_1, basis.Psi,
                                   trace_free=dec.trace_free(1))
     cfg = coupling.CouplingConfig(delta=1e-10, tol=1e-8, supg_on=True)

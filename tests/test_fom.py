@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -167,3 +169,20 @@ def test_modified_state_step_uses_given_history():
     np.testing.assert_array_equal(
         fom.modified_state_step(ops, u_snap, g, None, 1),
         fom.state_step(ops, u_snap, g, None, 1))
+
+
+def test_problem_builds_each_sides_operators_once():
+    prob = make_problem(a=rotation)
+    ops = prob.operators(1, True)
+    assert prob.operators(1, True) is ops
+    assert prob.operators(1, False) is not ops
+    assert prob.operators(2, True) is not ops
+    assert (ops.side, ops.supg_on) == (1, True)
+    want = assembly.subdomain_operators(prob.decomposition, 1, nu=prob.nu,
+                                        dt=prob.dt, advection=rotation,
+                                        supg_on=True)
+    assert abs(ops.state_matrix() - want.state_matrix()).max() == 0.0
+    # a replaced problem starts empty and builds operators of its own fields
+    assert dataclasses.replace(prob).operators(1, True) is not ops
+    assert dataclasses.replace(prob, dt=0.1).operators(1, True).dt == 0.1
+    assert "_operators" not in repr(prob)
