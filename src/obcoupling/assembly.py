@@ -2,8 +2,8 @@
 
 All volume integrals use 2x2 Gauss quadrature on the reference square, which is
 exact for every integrand appearing here (bilinear shapes, affine advection
-fields, axis-aligned elements). Interface integrals use the 1D two-node mass
-matrix h/6 * [[2, 1], [1, 2]] per interface edge.
+fields, axis-aligned elements). The interface mass is the 1D mass of the
+interface hats, tridiagonal h/6 * [1, 4, 1] on the control nodes.
 
 Operator conventions on the free degrees of freedom:
 
@@ -27,6 +27,7 @@ only; with a = 0 the stabilization vanishes identically.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -69,7 +70,7 @@ def _shape_gradients(xi: float, eta: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TraceResponse:
-    """Dense interface maps of one subdomain's state step and adjoint solve.
+    """How one subdomain model answers the interface, as dense maps.
 
     With A the state matrix, T the selection of the interface values in
     control order, W = A^{-T} T^T and Y = A^{-T} M_g0 (one multi-column
@@ -78,15 +79,20 @@ class TraceResponse:
         T u = P u_prev + W^T f + sign (T Z) g,  P = W^T M / dt,  T Z = W^T M_g0
 
     and the adjoint of an interface jump is sign Y jump, with trace
-    sign (T Y) jump. Signs are left to the caller.
+    sign (T Y) jump. A reduced model has the same record in its own
+    coordinates (``rom.reduce_operators``). Signs are left to the caller.
     """
 
     trace_free: np.ndarray  # (n_control,) free indices of the interface nodes
-    Y: np.ndarray           # (n_free, n_control)
-    WT: np.ndarray          # (n_control, n_free) W^T, maps a load to its trace
-    P: np.ndarray           # (n_control, n_free) history map
+    Y: np.ndarray           # (n_adjoint, n_control)
+    WT: np.ndarray          # (n_control, n_state) W^T, maps a load to its trace
+    P: np.ndarray           # (n_control, n_state) history map
     TZ: np.ndarray          # (n_control, n_control)
     TY: np.ndarray          # (n_control, n_control)
+
+    def zero_control_trace(self, u_prev: np.ndarray, f=None) -> np.ndarray:
+        """Interface trace P u_prev + W^T f of a state step at zero control."""
+        return self.P @ u_prev if f is None else self.P @ u_prev + self.WT @ f
 
 
 @dataclass
@@ -99,13 +105,11 @@ class OperatorSet:
     are reused for every timestep and descent iteration.
     """
 
-    mesh: Mesh
     nu: float
     dt: float
     side: int                      # 1 or 2 for subdomains, 0 for monolithic
     supg_on: bool
     free_nodes: np.ndarray
-    node_to_free: np.ndarray
     dirichlet_nodes: np.ndarray
     M: sp.csr_matrix
     K: sp.csr_matrix
@@ -229,67 +233,36 @@ def assemble_operators(mesh: Mesh, dirichlet_nodes: np.ndarray, *, nu: float,
     ``dirichlet_nodes`` lists the strongly constrained (zero) nodes; their
     rows and columns are eliminated.
     """
-    if nu < 0 or dt <= 0:
-        raise InputError("need nu >= 0 and dt > 0")
+    if not (math.isfinite(nu) and math.isfinite(dt)) or nu < 0 or dt <= 0:
+        raise InputError(f"need finite nu >= 0 and dt > 0, got nu={nu}, dt={dt}")
     dirichlet_nodes = np.asarray(dirichlet_nodes, dtype=np.int64)
     M, K, A, S = _assemble_volume(mesh, advection, nu, dt, supg_on)
 
-    free, node_to_free = free_arrays(mesh.n_nodes, dirichlet_nodes)
+    free, _ = free_arrays(mesh.n_nodes, dirichlet_nodes)
 
     def restrict(mat):
         return mat[free][:, free].tocsr()
 
     return OperatorSet(
-        mesh=mesh, nu=nu, dt=dt, side=side, supg_on=supg_on,
-        free_nodes=free, node_to_free=node_to_free,
+        nu=nu, dt=dt, side=side, supg_on=supg_on, free_nodes=free,
         dirichlet_nodes=dirichlet_nodes,
         M=restrict(M), K=restrict(K), A=restrict(A), S_state=restrict(S))
 
 
 def assemble_interface_mass(dec: Decomposition, side: int):
-    """Interface mass matrices for one subdomain.
+    """Interface mass matrices (M_g0, M_g) of one subdomain.
 
-    Returns (M_g0, M_g): M_g0 pairs the control hats with the subdomain's
-    free trace hats, and M_g is the control-space 1D mass.
+    M_g is the control-space 1D mass, hy/6 [1, 4, 1] on the interior
+    interface nodes; M_g0 = T^T M_g pairs the control hats with the
+    subdomain's free trace hats (every free trace hat is a control hat).
     """
-    sub = dec.sub(side)
-    iface = dec.interface_nodes_1 if side == 1 else dec.interface_nodes_2
-    node_to_free = dec.node_to_free(side)
-    ny = iface.size - 1
-    n_control = ny - 1
-    hy = sub.hy
-
-    edge = hy / 6.0 * np.array([[2.0, 1.0], [1.0, 2.0]])
-    rows_g0, cols_g0, vals_g0 = [], [], []
-    rows_g, cols_g, vals_g = [], [], []
-
-    for e in range(ny):
-        pair = (iface[e], iface[e + 1])
-        pos = (e, e + 1)  # interface positions, 0..ny; control index = pos - 1
-        for r in range(2):
-            fr = node_to_free[pair[r]]
-            if fr < 0:
-                continue  # endpoint row, Dirichlet
-            for c in range(2):
-                cpos = pos[c]
-                if 1 <= cpos <= ny - 1:
-                    rows_g0.append(fr)
-                    cols_g0.append(cpos - 1)
-                    vals_g0.append(edge[r, c])
-        for r in range(2):
-            rpos = pos[r]
-            if not 1 <= rpos <= ny - 1:
-                continue
-            for c in range(2):
-                cpos = pos[c]
-                if 1 <= cpos <= ny - 1:
-                    rows_g.append(rpos - 1)
-                    cols_g.append(cpos - 1)
-                    vals_g.append(edge[r, c])
-
-    n_free = dec.free_nodes(side).size
-    M_g0 = linalg.from_triplets(n_free, n_control, rows_g0, cols_g0, vals_g0)
-    M_g = linalg.from_triplets(n_control, n_control, rows_g, cols_g, vals_g)
+    hy = dec.sub(side).hy
+    M_g = sp.diags([hy / 6.0, hy / 6.0 * 4.0, hy / 6.0], [-1, 0, 1],
+                   shape=(dec.n_control,) * 2, format="csr")
+    entries = M_g.tocoo()
+    M_g0 = linalg.from_triplets(dec.free_nodes(side).size, dec.n_control,
+                                dec.trace_free(side)[entries.row], entries.col,
+                                entries.data)
     return M_g0, M_g
 
 

@@ -28,31 +28,44 @@ from obcoupling import bench, coupling, rom, snapshots
 from obcoupling.errors import InputError
 
 
-def _add_scenario_args(sub):
-    sub.add_argument("--level", type=int, default=32,
-                     help="grid refinement level (cells per side)")
-    sub.add_argument("--nu", type=float, default=1e-5, help="diffusion")
-    sub.add_argument("--dt", type=float, default=None,
-                     help="timestep (default: level-scaled benchmark value)")
-    sub.add_argument("--T", type=float, default=None,
-                     help="final time (default: one revolution)")
-    supg = sub.add_mutually_exclusive_group()
-    supg.add_argument("--supg", dest="supg", action="store_true", default=True,
-                      help="streamline upwind stabilization (default on)")
-    supg.add_argument("--no-supg", dest="supg", action="store_false")
+class _Options(dict):
+    """One subcommand's parser and its actions by dest, as ``add_argument``
+    returned them; --config checks its keys against these."""
+
+    def __init__(self, parser: argparse.ArgumentParser):
+        super().__init__()
+        self.parser = parser
+
+    def add(self, *flags, group=None, **kwargs):
+        action = (group or self.parser).add_argument(*flags, **kwargs)
+        self[action.dest] = action
 
 
-def _add_descent_args(sub):
-    sub.add_argument("--delta", type=float, default=1e-16,
-                     help="control regularization weight")
-    sub.add_argument("--tol", type=float, default=1e-14,
-                     help="objective stopping tolerance")
-    sub.add_argument("--alpha", type=float, default=2.0,
-                     help="initial gradient step")
-    sub.add_argument("--max-iters", type=int, default=10000,
-                     help="per-timestep iteration cap")
-    sub.add_argument("--no-warm-start", dest="warm_start", action="store_false",
-                     default=True, help="start each timestep from a zero control")
+def _add_scenario_args(opts: _Options):
+    opts.add("--level", type=int, default=32,
+             help="grid refinement level (cells per side)")
+    opts.add("--nu", type=float, default=1e-5, help="diffusion")
+    opts.add("--dt", type=float, default=None,
+             help="timestep (default: level-scaled benchmark value)")
+    opts.add("--T", type=float, default=None,
+             help="final time (default: one revolution)")
+    supg = opts.parser.add_mutually_exclusive_group()
+    opts.add("--supg", group=supg, dest="supg", action="store_true", default=True,
+             help="streamline upwind stabilization (default on)")
+    opts.add("--no-supg", group=supg, dest="supg", action="store_false")
+
+
+def _add_descent_args(opts: _Options):
+    opts.add("--delta", type=float, default=1e-16,
+             help="control regularization weight")
+    opts.add("--tol", type=float, default=1e-14,
+             help="objective stopping tolerance")
+    opts.add("--alpha", type=float, default=2.0,
+             help="initial gradient step")
+    opts.add("--max-iters", type=int, default=10000,
+             help="per-timestep iteration cap")
+    opts.add("--no-warm-start", dest="warm_start", action="store_false",
+             default=True, help="start each timestep from a zero control")
 
 
 def _benchmark_spec(args) -> bench.BenchmarkSpec:
@@ -223,7 +236,7 @@ def cmd_gradcheck(args) -> int:
     return 0 if ok else 1
 
 
-def build_parser() -> tuple[argparse.ArgumentParser, dict]:
+def build_parser() -> tuple[argparse.ArgumentParser, dict[str, _Options]]:
     parser = argparse.ArgumentParser(
         prog="obcoupling",
         description="Optimization-based coupling of advection-diffusion "
@@ -231,86 +244,74 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     parser.add_argument("--config", type=str, default=None,
                         help="JSON file of default values for the subcommand")
     subs = parser.add_subparsers(dest="command", required=True)
-    table = {}
+    table: dict[str, _Options] = {}
 
-    def register(sub):
+    def subcommand(name, func, **kwargs) -> _Options:
+        opts = table[name] = _Options(subs.add_parser(name, **kwargs))
+        opts.parser.set_defaults(func=func)
         # accept --config in either position, before or after the subcommand
-        sub.add_argument("--config", type=str, default=None, help=argparse.SUPPRESS)
+        opts.add("--config", type=str, default=None, help=argparse.SUPPRESS)
+        return opts
 
-    sub = subs.add_parser("monolithic", help="solve the reference and store "
-                          "state snapshots")
-    _add_scenario_args(sub)
-    sub.add_argument("--out", required=True, help="output store directory")
-    sub.set_defaults(func=cmd_monolithic)
-    register(sub)
-    table["monolithic"] = sub
+    opts = subcommand("monolithic", cmd_monolithic,
+                      help="solve the reference and store state snapshots")
+    _add_scenario_args(opts)
+    opts.add("--out", required=True, help="output store directory")
 
-    sub = subs.add_parser("collect-adjoint", help="collect adjoint snapshots")
-    _add_scenario_args(sub)
-    _add_descent_args(sub)
-    sub.add_argument("--method", choices=("gdra", "mgd"), required=True)
-    sub.add_argument("--m", type=int, default=1,
-                     help="descent iterations per timestep (mgd)")
-    sub.add_argument("--state-store", default=None,
-                     help="state snapshot store directory (mgd)")
-    sub.add_argument("--gdra-delta", type=float, default=1e-14)
-    sub.add_argument("--gdra-tol", type=float, default=1e-12)
-    sub.add_argument("--out", required=True)
-    sub.set_defaults(func=cmd_collect_adjoint)
-    register(sub)
-    table["collect-adjoint"] = sub
+    opts = subcommand("collect-adjoint", cmd_collect_adjoint,
+                      help="collect adjoint snapshots")
+    _add_scenario_args(opts)
+    _add_descent_args(opts)
+    opts.add("--method", choices=("gdra", "mgd"), required=True)
+    opts.add("--m", type=int, default=1,
+             help="descent iterations per timestep (mgd)")
+    opts.add("--state-store", default=None,
+             help="state snapshot store directory (mgd)")
+    opts.add("--gdra-delta", type=float, default=1e-14)
+    opts.add("--gdra-tol", type=float, default=1e-12)
+    opts.add("--out", required=True)
 
-    sub = subs.add_parser("pod", help="build a POD basis from stored snapshots")
-    sub.add_argument("--store", required=True, help="snapshot store directory")
-    sub.add_argument("--key", default="state_1",
-                     help="which matrix to decompose (default state_1)")
-    sub.add_argument("--modes", type=int, required=True)
-    sub.add_argument("--out", required=True, help="output directory")
-    sub.set_defaults(func=cmd_pod)
-    register(sub)
-    table["pod"] = sub
+    opts = subcommand("pod", cmd_pod,
+                      help="build a POD basis from stored snapshots")
+    opts.add("--store", required=True, help="snapshot store directory")
+    opts.add("--key", default="state_1",
+             help="which matrix to decompose (default state_1)")
+    opts.add("--modes", type=int, required=True)
+    opts.add("--out", required=True, help="output directory")
 
-    sub = subs.add_parser("couple", help="run one coupled solve and report "
-                          "errors against the monolithic reference")
-    _add_scenario_args(sub)
-    _add_descent_args(sub)
-    sub.add_argument("--state", default="fom",
-                     help="fom or rom:<modes> (applies to both subdomains)")
-    sub.add_argument("--adjoint", default="full",
-                     help="full, state:<modes>, gdra:<modes> or mgd<m>:<modes>")
-    sub.add_argument("--gdra-delta", type=float, default=1e-14)
-    sub.add_argument("--gdra-tol", type=float, default=1e-12)
-    sub.add_argument("--report", default=None, help="write a one-row CSV here")
-    sub.add_argument("--strict", action="store_true",
-                     help="exit 1 if any timestep fails to converge")
-    sub.set_defaults(func=cmd_couple)
-    register(sub)
-    table["couple"] = sub
+    opts = subcommand("couple", cmd_couple,
+                      help="run one coupled solve and report errors against "
+                           "the monolithic reference")
+    _add_scenario_args(opts)
+    _add_descent_args(opts)
+    opts.add("--state", default="fom",
+             help="fom or rom:<modes> (applies to both subdomains)")
+    opts.add("--adjoint", default="full",
+             help="full, state:<modes>, gdra:<modes> or mgd<m>:<modes>")
+    opts.add("--gdra-delta", type=float, default=1e-14)
+    opts.add("--gdra-tol", type=float, default=1e-12)
+    opts.add("--report", default=None, help="write a one-row CSV here")
+    opts.add("--strict", action="store_true",
+             help="exit 1 if any timestep fails to converge")
 
-    sub = subs.add_parser("report", help="run the standard comparison set")
-    _add_scenario_args(sub)
-    _add_descent_args(sub)
-    sub.add_argument("--gdra-delta", type=float, default=1e-14)
-    sub.add_argument("--gdra-tol", type=float, default=1e-12)
-    sub.add_argument("--out", required=True, help="output directory")
-    sub.add_argument("--strict", action="store_true")
-    sub.set_defaults(func=cmd_report)
-    register(sub)
-    table["report"] = sub
+    opts = subcommand("report", cmd_report, help="run the standard comparison set")
+    _add_scenario_args(opts)
+    _add_descent_args(opts)
+    opts.add("--gdra-delta", type=float, default=1e-14)
+    opts.add("--gdra-tol", type=float, default=1e-12)
+    opts.add("--out", required=True, help="output directory")
+    opts.add("--strict", action="store_true")
 
-    sub = subs.add_parser("gradcheck", help="verify the adjoint gradient "
-                          "against central differences")
-    sub.add_argument("--level", type=int, default=8)
-    sub.add_argument("--nu", type=float, default=1e-2)
-    sub.add_argument("--dt", type=float, default=5e-2)
-    sub.add_argument("--delta", type=float, default=1e-3)
-    sub.add_argument("--eps", type=float, default=1e-5)
-    sub.add_argument("--trials", type=int, default=5)
-    sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--check-tol", type=float, default=1e-5)
-    sub.set_defaults(func=cmd_gradcheck)
-    register(sub)
-    table["gradcheck"] = sub
+    opts = subcommand("gradcheck", cmd_gradcheck,
+                      help="verify the adjoint gradient against central differences")
+    opts.add("--level", type=int, default=8)
+    opts.add("--nu", type=float, default=1e-2)
+    opts.add("--dt", type=float, default=5e-2)
+    opts.add("--delta", type=float, default=1e-3)
+    opts.add("--eps", type=float, default=1e-5)
+    opts.add("--trials", type=int, default=5)
+    opts.add("--seed", type=int, default=0)
+    opts.add("--check-tol", type=float, default=1e-5)
 
     return parser, table
 
@@ -348,8 +349,7 @@ def _apply_config(argv: list[str], parser, table) -> None:
             break
     if command not in table:
         parser.error("config requires a subcommand")
-    sub = table[command]
-    known = {action.dest: action for action in sub._actions}
+    known = table[command]
     unknown = set(values) - set(known)
     if unknown:
         parser.error(f"config keys not accepted by {command}: {sorted(unknown)}")
@@ -361,7 +361,7 @@ def _apply_config(argv: list[str], parser, table) -> None:
         if want is not None:
             parser.error(f"config key {key!r} of {command} expects {want}, "
                          f"got {json.dumps(value)}")
-    sub.set_defaults(**values)
+    known.parser.set_defaults(**values)
 
 
 def _config_type_mismatch(action, value) -> str | None:

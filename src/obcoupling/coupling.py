@@ -14,20 +14,19 @@ the adjoint systems, which are exact transposes of the state systems, so the
 analytic gradient matches the discrete objective to roundoff.
 
 Within one timestep each state is affine in the control and each adjoint is
-linear in the interface jump (the Steklov-Poincare view of the interface):
-
-    u_i(g) = u_i(0) + sign_i Z_i g,    Z_i = A_i^{-1} M_g0,i
-    mu_i   = sign_i Y_i jump,          Y_i = A_i^{-T} M_g0,i
-
-so the jump is j0 + R g and the adjoint trace difference is G jump, with
-R = sign_1 T_1 Z_1 - sign_2 T_2 Z_2 and G = sign_1 T_1 Y_1 - sign_2 T_2 Y_2.
-An InterfaceResponse holds Z_i and Y_i of one side; its state half and its
-adjoint half each come from a full-order or a reduced model. Cost model: per
-side, one multi-column solve per run for Z_i and one for Y_i (a full-order
-Y_i is read from the ``trace_response`` of ``problem.operators``, so it is
-solved once per problem and shared with MGD collection), and one sparse (or
-reduced) solve per timestep for u_i(0); every descent trial is a few
-n_control x n_control matvecs.
+linear in the interface jump (the Steklov-Poincare view of the interface).
+A subdomain model's ``assembly.TraceResponse`` gives the trace of its state
+step as P_i u_i^{n-1} + W_i^T f_i + sign_i (T_i Z_i) g and its adjoint as
+sign_i Y_i jump, so the jump is j0 + R g and the adjoint trace difference is
+G jump, with R = sign_1 T_1 Z_1 - sign_2 T_2 Z_2 and
+G = sign_1 T_1 Y_1 - sign_2 T_2 Y_2. An InterfaceResponse reads one side's
+share from the responses of its state and adjoint models, each full order or
+reduced. Cost model: one TraceResponse per model (a multi-column sparse solve
+cached with ``problem.operators`` and shared with MGD collection and later
+runs, or dense solves in ``rom.reduce_operators``) and no solve to set up a
+run; per timestep, a few n_control x n matvecs for j0, a few n_control x
+n_control matvecs per descent trial, and one sparse (or reduced) state solve
+per side at the accepted control.
 """
 
 from __future__ import annotations
@@ -37,7 +36,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from obcoupling import assembly, rom
 from obcoupling.errors import InputError
@@ -58,6 +56,9 @@ class CouplingConfig:
     record_history: bool = False  # keep accepted objective values per step
 
     def __post_init__(self):
+        for name in ("delta", "tol", "alpha0"):
+            if not math.isfinite(getattr(self, name)):
+                raise InputError(f"{name}={getattr(self, name)} must be finite")
         if self.delta < 0:
             raise InputError("delta must be nonnegative")
         if self.tol <= 0 or self.alpha0 <= 0:
@@ -114,9 +115,11 @@ class InterfaceResponse:
 
     ``state`` and ``adjoint`` are each an OperatorSet (full order) or a
     ReducedOperatorSet (reduced), so the two halves of a side may come from
-    different models. States are held in the state model's coordinates:
-    free-DOF values or reduced coefficients. ``load(n)`` gives the side's
-    free-DOF load at timestep n, projected onto Psi_u on a reduced side.
+    different models; ``response`` is the state model's trace response, and
+    the adjoint half reads Y and T Y from the adjoint model's. States are
+    held in the state model's coordinates: free-DOF values or reduced
+    coefficients. ``load(n)`` gives the side's free-DOF load at timestep n,
+    projected onto Psi_u on a reduced side.
     """
 
     def __init__(self, side: int, state, adjoint, trace_free: np.ndarray, load=None):
@@ -124,23 +127,17 @@ class InterfaceResponse:
         self.sign = sign_of(side)
         self._state = state
         self._adjoint = adjoint
-        self._trace_free = trace_free
         self._load = load
         self._reduced_state = isinstance(state, rom.ReducedOperatorSet)
         self._reduced_adjoint = isinstance(adjoint, rom.ReducedOperatorSet)
-        if self._reduced_state:
-            self.Z = scipy.linalg.lu_solve(state.state_lu, state.PsiT_Mg0)
-        else:
-            self.Z = state.state_factor().solve(state.M_g0.toarray())
-        if self._reduced_adjoint:
-            self.Y = scipy.linalg.lu_solve(adjoint.adjoint_lu, adjoint.PsiT_mu_Mg0)
-            trace_Y = adjoint.trace_mu @ self.Y
-        else:
-            response = adjoint.trace_response(trace_free)
-            self.Y, trace_Y = response.Y, response.TY
+        self.response = (state.response if self._reduced_state
+                         else state.trace_response(trace_free))
+        adjoint_response = (adjoint.response if self._reduced_adjoint
+                            else adjoint.trace_response(trace_free))
+        self.Y = adjoint_response.Y
         # this side's signed shares of R and G
-        self.trace_Z = self.sign * self.trace(self.Z)
-        self.trace_Y = self.sign * trace_Y
+        self.trace_Z = self.sign * self.response.TZ
+        self.trace_Y = self.sign * adjoint_response.TY
 
     def from_free(self, u_free: np.ndarray) -> np.ndarray:
         """State-model coordinates of a free-DOF vector: Psi_u^T v if reduced."""
@@ -151,19 +148,14 @@ class InterfaceResponse:
     def to_free(self, u: np.ndarray) -> np.ndarray:
         return self._state.lift(u) if self._reduced_state else u
 
-    def trace(self, u: np.ndarray) -> np.ndarray:
-        """Control-ordered interface values of a state (or of Z's columns)."""
-        return self._state.trace_u @ u if self._reduced_state else u[self._trace_free]
+    def load(self, n: int) -> np.ndarray | None:
+        """The side's load at timestep n in state-model coordinates."""
+        return None if self._load is None else self.from_free(self._load(n))
 
-    def zero_control_step(self, u_prev: np.ndarray, n: int) -> np.ndarray:
-        """State u(0) of timestep n: the side's one solve per timestep."""
-        f = None if self._load is None else self.from_free(self._load(n))
+    def step(self, u_prev: np.ndarray, g: np.ndarray, f) -> np.ndarray:
+        """State at control g after u_prev: the side's one solve per timestep."""
         step = rom.rom_state_step if self._reduced_state else state_step
-        return step(self._state, u_prev, None, f, self.side)
-
-    def state(self, u_zero: np.ndarray, g: np.ndarray) -> np.ndarray:
-        """State at control g from the step's u(0)."""
-        return u_zero + self.sign * (self.Z @ g)
+        return step(self._state, u_prev, g, f, self.side)
 
     def adjoint(self, jump: np.ndarray) -> np.ndarray:
         """Free-DOF adjoint sign Y jump, lifted on a reduced side."""
@@ -325,12 +317,13 @@ def run_transient(problem: ProblemSpec, config: CouplingConfig, *,
 
     g = np.zeros(n_control)
     for n in range(1, n_steps + 1):
-        u_zero = [s.zero_control_step(u_i, n) for s, u_i in zip(sides, u)]
-        j0 = first.trace(u_zero[0]) - second.trace(u_zero[1])
+        f = [s.load(n) for s in sides]
+        j0 = (first.response.zero_control_trace(u[0], f[0])
+              - second.response.zero_control_trace(u[1], f[1]))
         g0 = g if config.warm_start else np.zeros(n_control)
         g, st = descent_timestep(j0, R, G, g0, config, M_g,
                                  recorder=on_direction, step_index=n)
-        u = [s.state(u_i, g) for s, u_i in zip(sides, u_zero)]
+        u = [s.step(u_i, g, f_i) for s, u_i, f_i in zip(sides, u, f)]
         controls[:, n] = g
         stats.append(st)
         if keep_trajectories:

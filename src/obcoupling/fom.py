@@ -17,6 +17,7 @@ every step and every descent iteration.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -60,6 +61,8 @@ class ProblemSpec:
     def n_steps(self) -> int:
         if not self.dt > 0:
             raise InputError(f"dt={self.dt} must be positive")
+        if not math.isfinite(self.T):
+            raise InputError(f"T={self.T} must be finite")
         n = int(round(self.T / self.dt))
         if n < 1:
             raise InputError(f"T={self.T} and dt={self.dt} give no timesteps")

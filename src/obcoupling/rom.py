@@ -5,7 +5,9 @@ DOFs, plain l2 inner product); truncated bases are nested prefixes of that
 single SVD. A reduced model projects the full-order state system L twice:
 Psi_u^T L Psi_u under the state basis and Psi_mu^T L^T Psi_mu, its adjoint,
 under the adjoint basis. A full orthonormal basis therefore reproduces the
-corresponding full-order solve exactly (change of basis).
+corresponding full-order solve exactly (change of basis). A reduced model
+answers the interface through an ``assembly.TraceResponse`` in its own
+coordinates, formed when the model is built.
 """
 
 from __future__ import annotations
@@ -92,11 +94,10 @@ def projection_error(basis: ReducedBasis, vectors: np.ndarray) -> np.ndarray | f
 class ReducedOperatorSet:
     """Galerkin-projected systems of one subdomain, factored once.
 
-    ``state_lu`` and ``adjoint_lu`` are the LU factors of Psi_u^T L Psi_u and
-    Psi_mu^T L^T Psi_mu, with L the full-order state system; Mh = Psi_u^T M
-    Psi_u carries the history term. The interface couplings Psi^T M_g0 and
-    the trace rows T Psi are precomputed so the descent loop touches only
-    control-sized and mode-sized arrays.
+    ``state_lu`` is the LU factor of Psi_u^T L Psi_u, with L the full-order
+    state system; Mh = Psi_u^T M Psi_u carries the history term. ``response``
+    maps reduced histories and loads to traces, and its
+    Y = (Psi_mu^T L^T Psi_mu)^{-1} Psi_mu^T M_g0 gives reduced adjoints.
     """
 
     side: int
@@ -105,11 +106,8 @@ class ReducedOperatorSet:
     Psi_mu: np.ndarray
     Mh: np.ndarray
     state_lu: tuple           # scipy.linalg.lu_factor of the reduced state system
-    adjoint_lu: tuple         # and of the reduced adjoint system
     PsiT_Mg0: np.ndarray      # (n_u, n_control)
-    PsiT_mu_Mg0: np.ndarray   # (n_mu, n_control)
-    trace_u: np.ndarray       # (n_control, n_u): control-ordered rows of Psi_u
-    trace_mu: np.ndarray      # (n_control, n_mu)
+    response: assembly.TraceResponse
 
     def lift(self, uhat: np.ndarray) -> np.ndarray:
         """Free-DOF representation Psi_u @ uhat of a reduced state."""
@@ -137,15 +135,18 @@ def reduce_operators(ops: assembly.OperatorSet, Psi_u: np.ndarray,
         raise ValueError("reduce_operators needs subdomain operators with interface blocks")
 
     system = ops.state_matrix()
+    Mh = _project(ops.M, Psi_u)
+    state_lu = scipy.linalg.lu_factor(_project(system, Psi_u))
+    PsiT_Mg0 = (ops.M_g0.T @ Psi_u).T.copy()
+    # W^T = (T Psi_u) (Psi_u^T L Psi_u)^{-1}, Y from the reduced adjoint system
+    WT = scipy.linalg.lu_solve(state_lu, Psi_u[trace_free].T, trans=1).T
+    Y = scipy.linalg.lu_solve(scipy.linalg.lu_factor(_project(system.T, Psi_mu)),
+                              (ops.M_g0.T @ Psi_mu).T)
     return ReducedOperatorSet(
-        side=ops.side, dt=ops.dt, Psi_u=Psi_u, Psi_mu=Psi_mu,
-        Mh=_project(ops.M, Psi_u),
-        state_lu=scipy.linalg.lu_factor(_project(system, Psi_u)),
-        adjoint_lu=scipy.linalg.lu_factor(_project(system.T, Psi_mu)),
-        PsiT_Mg0=(ops.M_g0.T @ Psi_u).T.copy(),
-        PsiT_mu_Mg0=(ops.M_g0.T @ Psi_mu).T.copy(),
-        trace_u=Psi_u[trace_free, :].copy(),
-        trace_mu=Psi_mu[trace_free, :].copy())
+        side=ops.side, dt=ops.dt, Psi_u=Psi_u, Psi_mu=Psi_mu, Mh=Mh,
+        state_lu=state_lu, PsiT_Mg0=PsiT_Mg0, response=assembly.TraceResponse(
+            trace_free=np.array(trace_free, dtype=np.int64), Y=Y, WT=WT,
+            P=WT @ Mh / ops.dt, TZ=WT @ PsiT_Mg0, TY=Psi_mu[trace_free] @ Y))
 
 
 def rom_state_step(rops: ReducedOperatorSet, uhat_prev: np.ndarray,
@@ -164,7 +165,5 @@ def rom_state_step(rops: ReducedOperatorSet, uhat_prev: np.ndarray,
 
 def rom_adjoint_from_jump(rops: ReducedOperatorSet, jump: np.ndarray,
                           side: int) -> np.ndarray:
-    """Reduced adjoint solve from a control-ordered interface jump."""
-    return scipy.linalg.lu_solve(rops.adjoint_lu,
-                                 sign_of(side) * (rops.PsiT_mu_Mg0 @ jump))
-
+    """Reduced adjoint from a control-ordered interface jump: sign Y jump."""
+    return sign_of(side) * (rops.response.Y @ jump)

@@ -12,13 +12,13 @@ subdomains. Adjoint snapshots come from two collectors:
   the recorded state history instead of a marching state. Timesteps decouple
   completely: each writes into preallocated column slots, making the result
   bitwise identical for any execution order. Exactly m pairs per timestep.
-  The descent is linear in the interface: with W_i = A_i^{-T} T_i^T and
-  Y_i = A_i^{-T} M_g0 from one multi-column adjoint solve per side and
-  problem (``trace_response`` of ``problem.operators``, shared with the
-  coupled run), a pair costs a few dense matvecs of n_control x n_free
-  matrices and no sparse solve. The zero-control jump is
-  j0 = P_1 s_1 - P_2 s_2 (+ W_1^T f_1 - W_2^T f_2) with P_i = W_i^T M_i / dt
-  and s_i the history column, the jump at control g is j0 + R g, and the
+  The descent is linear in the interface and runs on the same
+  ``assembly.TraceResponse`` per side as the coupled run (the cached
+  ``trace_response`` of ``problem.operators``), so a pair costs a few dense
+  matvecs of n_control x n_free matrices and no sparse solve. The
+  zero-control jump j0 is the difference of the sides'
+  ``zero_control_trace`` of the history columns s_i (and loads), exactly as
+  in ``coupling.run_transient``; the jump at control g is j0 + R g, and the
   pair is mu_i = sign_i Y_i jump (R and G as in ``coupling``).
 
 Storage uses one file per snapshot matrix in a small binary container:
@@ -134,16 +134,16 @@ def _mgd_step(n, m, ops_1, ops_2, state_1, state_2, tf_1, tf_2, config,
     with a fixed step alpha0 and zero initial control; with no accepted
     objective sequence to monitor there is nothing to halve against. Every
     solve happens in the sides' cached trace responses, so a step is a few
-    dense matvecs: the zero-control jump j0 from the history maps P_i, the
+    dense matvecs: the zero-control jump j0 from the history columns, the
     jump j0 + R g at control g, and the pair sign_i Y_i jump.
     """
     delta, alpha = config.delta, config.alpha0
     r_1 = ops_1.trace_response(tf_1)
     r_2 = ops_2.trace_response(tf_2)
     s_1, s_2 = sign_of(1), sign_of(2)
-    j0 = r_1.P @ state_1[:, n - 1] - r_2.P @ state_2[:, n - 1]
-    if loads is not None:
-        j0 += r_1.WT @ loads[0](n) - r_2.WT @ loads[1](n)
+    f_1, f_2 = (None, None) if loads is None else (loads[0](n), loads[1](n))
+    j0 = (r_1.zero_control_trace(state_1[:, n - 1], f_1)
+          - r_2.zero_control_trace(state_2[:, n - 1], f_2))
     if m > 1:
         R = s_1 * r_1.TZ - s_2 * r_2.TZ
         G = s_1 * r_1.TY - s_2 * r_2.TY
@@ -246,6 +246,8 @@ def read_snapshot_file(path) -> tuple[np.ndarray, dict]:
         meta = json.loads(raw[head_len:data_start].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise InputError(f"{path}: bad metadata blob: {exc}") from exc
+    if not isinstance(meta, dict):
+        raise InputError(f"{path}: metadata blob is not a JSON object")
     flat = np.frombuffer(raw, dtype="<f8", count=rows * cols, offset=data_start)
     return flat.reshape((rows, cols), order="F").copy(order="F"), meta
 
@@ -269,12 +271,16 @@ def read_store(directory) -> SnapshotStore:
         meta = json.loads(meta_path.read_text()) if meta_path.exists() else {}
     except json.JSONDecodeError as exc:
         raise InputError(f"{meta_path}: bad JSON: {exc}") from exc
+    if not isinstance(meta, dict):
+        raise InputError(f"{meta_path}: not a JSON object")
     matrices = {}
     for path in sorted(directory.glob("*.snap")):
         data, file_meta = read_snapshot_file(path)
+        subdomain = file_meta.get("subdomain", 0)
+        if not isinstance(subdomain, int) or isinstance(subdomain, bool):
+            raise InputError(f"{path}: subdomain {subdomain!r} is not an integer")
         matrices[path.stem] = SnapshotMatrix(
-            data=data, kind=file_meta.get("kind", "state"),
-            subdomain=int(file_meta.get("subdomain", 0)))
+            data=data, kind=file_meta.get("kind", "state"), subdomain=subdomain)
     if not matrices:
         raise InputError(f"{directory} contains no snapshot files")
     return SnapshotStore(matrices=matrices, meta=meta)

@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from obcoupling import assembly, fom, linalg
+from obcoupling import assembly, fom, linalg, rom
+from obcoupling.errors import InputError
 from obcoupling.geometry import build_mesh, decompose
 
 
@@ -164,29 +165,48 @@ def test_one_factorization_per_operator_set(monkeypatch):
     assert calls == [(ops.n_free, ops.n_free)]
 
 
-def test_trace_response_matches_sparse_solves():
+@pytest.mark.parametrize("model", ["full", "reduced"])
+def test_trace_response_matches_sparse_solves(model):
+    # one TraceResponse describes either model kind: P u_prev + W^T f +
+    # sign (T Z) g is the trace of the model's state step, and Y solves the
+    # model's adjoint system against M_g0 (a full-order model is the reduced
+    # one with identity bases)
     dec = decompose(build_mesh(8, 8), 0.5)
     rng = np.random.default_rng(3)
     for side in (1, 2):
         ops = assembly.subdomain_operators(dec, side, nu=1e-2, dt=5e-2,
                                            advection=rotation)
         tf = dec.trace_free(side)
-        r = ops.trace_response(tf)
-        assert ops.trace_response(tf) is r
-        M_g0 = ops.M_g0.toarray()
-        Y = ops.adjoint_factor().solve(M_g0)
-        Z = ops.state_factor().solve(M_g0)
+        if model == "full":
+            r = ops.trace_response(tf)
+            assert ops.trace_response(tf) is r
+            Psi_u = Psi_mu = np.eye(ops.n_free)
+
+            def step(u_prev, g, f):
+                return fom.state_step(ops, u_prev, g, f, side)
+        else:
+            Psi_u = np.linalg.qr(rng.standard_normal((ops.n_free, 9)))[0]
+            Psi_mu = np.linalg.qr(rng.standard_normal((ops.n_free, 7)))[0]
+            rops = rom.reduce_operators(ops, Psi_u, Psi_mu, trace_free=tf)
+            r = rops.response
+
+            def step(u_prev, g, f):
+                return Psi_u @ rom.rom_state_step(rops, u_prev, g, f, side)
+        L = ops.state_matrix().toarray()
+        Y = np.linalg.solve(Psi_mu.T @ L.T @ Psi_mu, Psi_mu.T @ ops.M_g0.toarray())
         scale = abs(Y).max()
         np.testing.assert_allclose(r.Y, Y, rtol=0, atol=1e-13 * scale)
-        np.testing.assert_allclose(r.TY, Y[tf], rtol=0, atol=1e-13 * scale)
-        np.testing.assert_allclose(r.TZ, Z[tf], rtol=0,
-                                   atol=1e-13 * abs(Z).max())
-        # the interface trace of a zero-control state step
-        u_prev = rng.standard_normal(ops.n_free)
-        f = rng.standard_normal(ops.n_free)
-        u = ops.state_factor().solve(ops.M @ u_prev / ops.dt + f)
-        np.testing.assert_allclose(r.P @ u_prev + r.WT @ f, u[tf], rtol=0,
-                                   atol=1e-12 * abs(u[tf]).max())
+        np.testing.assert_allclose(r.TY, (Psi_mu @ Y)[tf], rtol=0,
+                                   atol=1e-13 * scale)
+        u_prev = rng.standard_normal(Psi_u.shape[1])
+        f = rng.standard_normal(Psi_u.shape[1])
+        g = rng.standard_normal(dec.n_control)
+        want = step(u_prev, g, f)[tf]
+        got = r.zero_control_trace(u_prev, f) + fom.sign_of(side) * (r.TZ @ g)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * abs(want).max())
+        np.testing.assert_allclose(r.zero_control_trace(u_prev),
+                                   step(u_prev, None, None)[tf], rtol=0,
+                                   atol=1e-12 * abs(want).max())
 
 
 def test_interface_mass_small_mesh():
@@ -249,6 +269,9 @@ def test_assemble_operators_validates_inputs():
         assembly.assemble_operators(mesh, mesh.boundary_nodes, nu=-1.0, dt=0.1)
     with pytest.raises(ValueError):
         assembly.assemble_operators(mesh, mesh.boundary_nodes, nu=1.0, dt=0.0)
+    for nu, dt in ((np.nan, 0.1), (np.inf, 0.1), (1.0, np.nan), (1.0, np.inf)):
+        with pytest.raises(InputError, match="finite"):
+            assembly.assemble_operators(mesh, mesh.boundary_nodes, nu=nu, dt=dt)
 
 
 @settings(max_examples=10, deadline=None)

@@ -7,6 +7,7 @@ from obcoupling import cli, snapshots
 
 DESK = ["--level", "8", "--nu", "1e-3", "--dt", "5e-2", "--T", "0.3"]
 LOOSE = ["--delta", "1e-12", "--tol", "1e-10"]
+SHORT = ["couple", "--level", "8", "--T", "0.2"]
 
 
 def test_monolithic_writes_store(tmp_path, capsys):
@@ -218,10 +219,33 @@ def test_config_placement_before_subcommand(tmp_path):
     (["couple", "--level", "8", "--dt", "0"], "dt=0.0 must be positive"),
     (["pod", "--store", "{tmp}/missing", "--modes", "3", "--out", "{tmp}/b"],
      "is not a snapshot store directory"),
+    # non-finite values pass every sign check and must be rejected on their own
+    ([*SHORT, "--delta", "nan"], "delta=nan must be finite"),
+    ([*SHORT, "--tol", "nan"], "tol=nan must be finite"),
+    ([*SHORT, "--alpha", "inf"], "alpha0=inf must be finite"),
+    ([*SHORT, "--nu", "nan"], "need finite nu"),
+    ([*SHORT, "--nu", "inf"], "need finite nu"),
+    (["couple", "--level", "8", "--T", "nan"], "T=nan must be finite"),
 ])
 def test_library_value_errors_exit_2(tmp_path, capsys, argv, message):
     argv = [arg.format(tmp=tmp_path) for arg in argv]
     assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize("store_meta, file_meta, message", [
+    ("[1, 2]", {}, "meta.json: not a JSON object"),
+    ("{}", {"subdomain": "one"}, "subdomain 'one' is not an integer"),
+])
+def test_pod_rejects_malformed_store_metadata(tmp_path, capsys, store_meta,
+                                              file_meta, message):
+    store = tmp_path / "store"
+    store.mkdir()
+    snapshots.write_snapshot_file(store / "state_1.snap", np.ones((4, 3)), file_meta)
+    (store / "meta.json").write_text(store_meta)
+    assert cli.main(["pod", "--store", str(store), "--modes", "1",
+                     "--out", str(tmp_path / "b")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
 

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from obcoupling import assembly, bench, coupling, fom, rom, snapshots
+from obcoupling import assembly, bench, coupling, fom, linalg, rom, snapshots
+from obcoupling.errors import InputError
 from obcoupling.geometry import build_mesh, decompose
 
 
@@ -34,8 +35,8 @@ def fom_responses(dec, nu=1e-3, dt=0.05, supg_on=False, seed=0):
 def interface_system(responses, u_prev):
     """(j0, R, G) of one timestep stepped from u_prev."""
     first, second = responses
-    j0 = (first.trace(first.zero_control_step(u_prev[0], 1))
-          - second.trace(second.zero_control_step(u_prev[1], 1)))
+    j0 = (first.response.zero_control_trace(u_prev[0])
+          - second.response.zero_control_trace(u_prev[1]))
     return (j0, first.trace_Z - second.trace_Z,
             first.trace_Y - second.trace_Y)
 
@@ -87,6 +88,11 @@ def test_config_validation():
         coupling.CouplingConfig(tol=0.0)
     with pytest.raises(ValueError):
         coupling.CouplingConfig(max_iters=0)
+    # non-finite settings pass every sign check, so they need their own
+    for name in ("delta", "tol", "alpha0"):
+        for bad in (np.nan, np.inf):
+            with pytest.raises(InputError, match=f"{name}=.* must be finite"):
+                coupling.CouplingConfig(**{name: bad})
 
 
 def test_descent_zero_iterations_when_already_converged():
@@ -257,6 +263,26 @@ def test_transient_fom_vs_monolithic_short():
     # trajectory bookkeeping
     assert result.traj_1.shape[1] == prob.n_steps + 1
     np.testing.assert_array_equal(result.control.values[:, 0], 0.0)
+
+
+def test_second_run_solves_once_per_side_and_step(monkeypatch):
+    # the trace responses stay with the problem's operators, so once they
+    # exist a full-order run's only sparse solves are one state step per
+    # side and timestep
+    prob = desk_problem(n_steps=4)
+    cfg = coupling.CouplingConfig(supg_on=True)
+    coupling.run_transient(prob, cfg)
+    shapes = []
+    solve = linalg.Factorization.solve
+
+    def counting(self, rhs):
+        shapes.append(np.shape(rhs))
+        return solve(self, rhs)
+
+    monkeypatch.setattr(linalg.Factorization, "solve", counting)
+    coupling.run_transient(prob, cfg)
+    assert len(shapes) == 2 * prob.n_steps
+    assert all(len(shape) == 1 for shape in shapes)
 
 
 def test_warm_start_reuses_previous_control():

@@ -111,21 +111,11 @@ def test_full_basis_reproduces_fom_step():
             np.testing.assert_allclose(Q @ muhat, mu_full, atol=1e-11)
 
 
-def test_reduced_traces_match_lifted_states():
-    dec = decompose(build_mesh(6, 4), 0.5)
-    rng = np.random.default_rng(8)
-    n_free = dec.free_nodes(1).size
-    Psi, _ = np.linalg.qr(rng.standard_normal((n_free, 5)))
-    ops, rops = reduced_pair(dec, 1, Psi, nu=1e-2, dt=0.1)
-    uhat = rng.standard_normal(5)
-    np.testing.assert_allclose(rops.trace_u @ uhat,
-                               (Psi @ uhat)[dec.trace_free(1)], atol=1e-14)
-
-
 def test_reduced_adjoint_is_transpose_of_reduced_state():
     # with Psi_mu = Psi_u the reduced adjoint system is the exact transpose
     # of the reduced state system Psi^T L Psi, mirroring the full-order
-    # duality: its solve is the transposed solve of the reduced state system
+    # duality: the reduced adjoint response Y is the transposed solve of the
+    # reduced state system
     dec = decompose(build_mesh(6, 6), 0.5)
     rng = np.random.default_rng(21)
     n_free = dec.free_nodes(2).size
@@ -133,11 +123,11 @@ def test_reduced_adjoint_is_transpose_of_reduced_state():
     for supg in (False, True):
         ops, rops = reduced_pair(dec, 2, Psi, nu=1e-3, dt=0.02, supg_on=supg)
         reduced = Psi.T @ (ops.state_matrix() @ Psi)
-        b = rng.standard_normal((7, 3))
-        mu = scipy.linalg.lu_solve(rops.adjoint_lu, b)
-        np.testing.assert_allclose(reduced.T @ mu, b, rtol=0, atol=1e-12)
+        Y = rops.response.Y
+        np.testing.assert_allclose(reduced.T @ Y, rops.PsiT_Mg0, rtol=0, atol=1e-12)
         np.testing.assert_allclose(
-            mu, scipy.linalg.lu_solve(rops.state_lu, b, trans=1),
-            rtol=0, atol=1e-12 * np.abs(mu).max())
+            Y, scipy.linalg.lu_solve(rops.state_lu, rops.PsiT_Mg0, trans=1),
+            rtol=0, atol=1e-12 * np.abs(Y).max())
+        b = rng.standard_normal((7, 3))
         u = scipy.linalg.lu_solve(rops.state_lu, b)
         np.testing.assert_allclose(reduced @ u, b, rtol=0, atol=1e-12)

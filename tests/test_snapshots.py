@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from obcoupling import assembly, bench, coupling, fom, rom, snapshots
+from obcoupling.errors import InputError
 from obcoupling.rom import SnapshotMatrix
 
 # 1x1 matrix holding 1.0 with empty metadata, spelled out byte by byte:
@@ -77,6 +78,24 @@ def test_container_rejects_malformed(tmp_path):
     (tmp_path / "extra.snap").write_bytes(raw + b"\x00")
     with pytest.raises(ValueError):
         snapshots.read_snapshot_file(tmp_path / "extra.snap")
+
+    # metadata must be a JSON object, and a store's subdomain an integer
+    blob = b"[1]"
+    listed = (raw[:6] + snapshots._HEADER.pack(3, 2, len(blob)) + blob
+              + raw[6 + snapshots._HEADER.size + 2:])
+    (tmp_path / "list.snap").write_bytes(listed)
+    with pytest.raises(InputError, match="not a JSON object"):
+        snapshots.read_snapshot_file(tmp_path / "list.snap")
+    for subdomain in ("1", 1.5, True):
+        store = tmp_path / f"store-{subdomain}"
+        store.mkdir()
+        snapshots.write_snapshot_file(store / "state_1.snap", np.ones((3, 2)),
+                                      {"subdomain": subdomain})
+        with pytest.raises(InputError, match="is not an integer"):
+            snapshots.read_store(store)
+    (store / "meta.json").write_text("[]")
+    with pytest.raises(InputError, match="not a JSON object"):
+        snapshots.read_store(store)
 
 
 def test_store_roundtrip(tmp_path):
