@@ -2,7 +2,15 @@
 
 Bases come from one thin SVD per snapshot matrix (snapshots live on the free
 DOFs, plain l2 inner product); truncated bases are nested prefixes of that
-single SVD. A reduced model projects the full-order state system L twice:
+single SVD. A snapshot matrix may carry a ``span``: k columns whose span
+holds every snapshot (the adjoint collectors attach Y_i, k = n_control).
+When k < min(data.shape), ``full_pod`` takes the span route: one QR of the
+span, Q R = span, and the thin SVD of the k-row matrix Q^T data, so the
+basis is Q times its left singular vectors, and ``sigma`` is its k singular
+values padded with exact zeros to min(data.shape). Nested prefixes then hold
+up to k modes; a basis asked for more comes from the thin SVD of the data
+itself (``ReducedBasis.truncate``), which is the one place that rule lives.
+A reduced model projects the full-order state system L twice:
 Psi_u^T L Psi_u under the state basis and Psi_mu^T L^T Psi_mu, its adjoint,
 under the adjoint basis. A full orthonormal basis therefore reproduces the
 corresponding full-order solve exactly (change of basis). A reduced model
@@ -12,7 +20,7 @@ coordinates, formed when the model is built.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
@@ -29,6 +37,7 @@ class SnapshotMatrix:
     data: np.ndarray   # (n_free, n_snapshots)
     kind: str          # "state" or "adjoint"
     subdomain: int
+    span: np.ndarray | None = None  # (n_free, k) columns spanning every snapshot
 
     @property
     def n_snapshots(self) -> int:
@@ -37,26 +46,52 @@ class SnapshotMatrix:
 
 @dataclass(frozen=True)
 class ReducedBasis:
-    """Leading left singular vectors of a snapshot matrix."""
+    """Leading left singular vectors of a snapshot matrix.
+
+    A basis from the span route keeps its snapshot ``data``, so a request
+    for more modes than it holds can fall back to the data's own SVD.
+    """
 
     Psi: np.ndarray    # (n_free, n_modes), orthonormal columns
     sigma: np.ndarray  # full singular value spectrum of the snapshot matrix
+    data: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     @property
     def n_modes(self) -> int:
         return self.Psi.shape[1]
 
     def truncate(self, n_modes: int) -> "ReducedBasis":
+        if self.data is not None and self.n_modes < n_modes <= self.sigma.size:
+            # the span route gave only span-width modes; more come from the
+            # thin SVD of the data, exactly as without a span
+            return full_pod(self.data).truncate(n_modes)
         if not 1 <= n_modes <= self.n_modes:
             raise InputError(f"cannot truncate {self.n_modes}-mode basis to {n_modes}")
         return ReducedBasis(Psi=self.Psi[:, :n_modes], sigma=self.sigma)
 
 
 def full_pod(snapshots) -> ReducedBasis:
-    """All left singular vectors; truncate() yields every nested basis."""
-    data = snapshots.data if isinstance(snapshots, SnapshotMatrix) else np.asarray(snapshots)
-    u, s, _ = linalg.thin_svd(data)
-    return ReducedBasis(Psi=u, sigma=s)
+    """All left singular vectors; truncate() yields every nested basis.
+
+    A SnapshotMatrix whose span is narrower than min(data.shape) takes the
+    span route (module docstring); snapshots that leave the span by more
+    than 1e-12 of their Frobenius norm, or hold NaN, raise ValueError.
+    """
+    if isinstance(snapshots, SnapshotMatrix):
+        data, span = snapshots.data, snapshots.span
+    else:
+        data, span = np.asarray(snapshots), None
+    if span is None or span.shape[1] >= min(data.shape):
+        u, s, _ = linalg.thin_svd(data)
+        return ReducedBasis(Psi=u, sigma=s)
+    q, _ = np.linalg.qr(span)
+    coeff = q.T @ data
+    if not np.linalg.norm(data - q @ coeff) <= 1e-12 * np.linalg.norm(data):
+        raise ValueError("snapshots do not lie in the span attached to them")
+    u, s, _ = linalg.thin_svd(coeff)
+    sigma = np.zeros(min(data.shape))
+    sigma[:s.size] = s
+    return ReducedBasis(Psi=q @ u, sigma=sigma, data=data)
 
 
 def snapshot_energy(sigma: np.ndarray) -> np.ndarray:

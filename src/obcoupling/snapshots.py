@@ -21,6 +21,12 @@ subdomains. Adjoint snapshots come from two collectors:
   in ``coupling.run_transient``; the jump at control g is j0 + R g, and the
   pair is mu_i = sign_i Y_i jump (R and G as in ``coupling``).
 
+Both collectors' pairs are sign_i Y_i jump, so each adjoint matrix lies in
+the span of the side's Y_i (n_control columns). They attach that Y_i as the
+matrix's ``span``, and ``rom.full_pod`` builds the basis through it. SNAP1
+stores do not persist the span: a matrix read back has none, and its basis
+comes from the thin SVD of the data.
+
 Storage uses one file per snapshot matrix in a small binary container:
 magic "SNAP1", a version byte, little-endian u32 row and column counts, a
 u32-length-prefixed UTF-8 JSON metadata blob, then the matrix as
@@ -108,10 +114,14 @@ def collect_gdra(problem: ProblemSpec, config: coupling.CouplingConfig) -> Snaps
     result = coupling.run_transient(problem, config, recorder=recorder,
                                     keep_trajectories=False)
 
-    n_free_1 = problem.decomposition.free_nodes(1).size
-    n_free_2 = problem.decomposition.free_nodes(2).size
+    dec = problem.decomposition
+    n_free_1 = dec.free_nodes(1).size
+    n_free_2 = dec.free_nodes(2).size
     data_1 = (np.column_stack(cols_1) if cols_1 else np.zeros((n_free_1, 0)))
     data_2 = (np.column_stack(cols_2) if cols_2 else np.zeros((n_free_2, 0)))
+    # the recorded pairs are sign_i Y_i jump with the run's own responses
+    span_1, span_2 = (problem.operators(side, config.supg_on)
+                      .trace_response(dec.trace_free(side)).Y for side in (1, 2))
     meta = {
         "method": "gdra", "delta": config.delta, "tol": config.tol,
         "alpha0": config.alpha0, "supg_on": config.supg_on,
@@ -121,8 +131,10 @@ def collect_gdra(problem: ProblemSpec, config: coupling.CouplingConfig) -> Snaps
         "all_converged": result.all_converged,
     }
     return SnapshotStore(matrices={
-        "adjoint_1": SnapshotMatrix(data=data_1, kind="adjoint", subdomain=1),
-        "adjoint_2": SnapshotMatrix(data=data_2, kind="adjoint", subdomain=2),
+        "adjoint_1": SnapshotMatrix(data=data_1, kind="adjoint", subdomain=1,
+                                    span=span_1),
+        "adjoint_2": SnapshotMatrix(data=data_2, kind="adjoint", subdomain=2,
+                                    span=span_2),
     }, meta=meta)
 
 
@@ -205,8 +217,10 @@ def collect_mgd(problem: ProblemSpec, states: SnapshotStore, m: int,
         "n_steps": n_steps, "n_pairs": n_steps * m,
     }
     return SnapshotStore(matrices={
-        "adjoint_1": SnapshotMatrix(data=out_1, kind="adjoint", subdomain=1),
-        "adjoint_2": SnapshotMatrix(data=out_2, kind="adjoint", subdomain=2),
+        "adjoint_1": SnapshotMatrix(data=out_1, kind="adjoint", subdomain=1,
+                                    span=ops_1.trace_response(tf_1).Y),
+        "adjoint_2": SnapshotMatrix(data=out_2, kind="adjoint", subdomain=2,
+                                    span=ops_2.trace_response(tf_2).Y),
     }, meta=meta)
 
 
@@ -227,7 +241,7 @@ def write_snapshot_file(path, matrix: np.ndarray, meta: dict | None = None):
 
 def read_snapshot_file(path) -> tuple[np.ndarray, dict]:
     """Read a SNAP1 container into a column-major matrix; raises InputError
-    on any malformed layout."""
+    on any malformed layout and on NaN or infinite entries."""
     raw = Path(path).read_bytes()
     head_len = len(_MAGIC) + 1 + _HEADER.size
     if len(raw) < head_len:
@@ -249,6 +263,8 @@ def read_snapshot_file(path) -> tuple[np.ndarray, dict]:
     if not isinstance(meta, dict):
         raise InputError(f"{path}: metadata blob is not a JSON object")
     flat = np.frombuffer(raw, dtype="<f8", count=rows * cols, offset=data_start)
+    if not np.isfinite(flat).all():
+        raise InputError(f"{path}: matrix holds NaN or infinite values")
     return flat.reshape((rows, cols), order="F").copy(order="F"), meta
 
 

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -248,6 +252,30 @@ def test_pod_rejects_malformed_store_metadata(tmp_path, capsys, store_meta,
                      "--out", str(tmp_path / "b")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
+
+
+def test_pod_rejects_non_finite_snapshots(tmp_path, capsys):
+    store = tmp_path / "store"
+    store.mkdir()
+    mat = np.ones((4, 3))
+    mat[2, 1] = np.nan
+    snapshots.write_snapshot_file(store / "adjoint_1.snap", mat,
+                                  {"kind": "adjoint", "subdomain": 1})
+    assert cli.main(["pod", "--store", str(store), "--key", "adjoint_1",
+                     "--modes", "1", "--out", str(tmp_path / "b")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "NaN or infinite" in err
+
+
+def test_module_entry_point_runs_the_cli():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(src), env.get("PYTHONPATH")) if p)
+    done = subprocess.run([sys.executable, "-m", "obcoupling", "--help"],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert "collect-adjoint" in done.stdout
 
 
 @pytest.mark.parametrize("argv, values, key", [

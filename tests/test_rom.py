@@ -39,6 +39,69 @@ def test_pod_validates_mode_count():
             full.truncate(bad)
 
 
+def span_fixture(k, seed=0, n=40, cols=25):
+    """A snapshot matrix Y @ C with a tall k-column span Y attached."""
+    rng = np.random.default_rng(seed)
+    Y = rng.standard_normal((n, k))
+    C = rng.standard_normal((k, cols)) * np.logspace(0, -6, k)[:, None]
+    return rom.SnapshotMatrix(data=Y @ C, kind="adjoint", subdomain=1, span=Y)
+
+
+@pytest.mark.parametrize("k", [1, 4, 9])
+def test_span_route_matches_thin_svd(k):
+    sm = span_fixture(k, seed=k)
+    basis = rom.full_pod(sm)
+    direct = rom.full_pod(sm.data)
+    assert basis.n_modes == k
+    assert basis.sigma.shape == direct.sigma.shape == (min(sm.data.shape),)
+    np.testing.assert_allclose(basis.sigma[:k], direct.sigma[:k], rtol=0,
+                               atol=1e-13 * direct.sigma[0])
+    assert (basis.sigma[k:] == 0.0).all()
+    np.testing.assert_allclose(basis.Psi.T @ basis.Psi, np.eye(k), rtol=0,
+                               atol=1e-13)
+    # Eckart-Young: the rank-r projection leaves exactly the sigma tail
+    norm = np.linalg.norm(sm.data)
+    for r in range(k + 1):
+        psi = basis.Psi[:, :r]
+        resid = np.linalg.norm(sm.data - psi @ (psi.T @ sm.data))
+        tail = np.sqrt(np.sum(basis.sigma[r:] ** 2))
+        assert abs(resid - tail) <= 1e-13 * norm, r
+
+
+def test_span_route_falls_back_to_thin_svd_past_span_width():
+    sm = span_fixture(4)
+    basis = rom.full_pod(sm)
+    direct = rom.full_pod(sm.data)
+    for n in (5, 12, min(sm.data.shape)):
+        got, want = basis.truncate(n), direct.truncate(n)
+        assert got.Psi.tobytes() == want.Psi.tobytes()
+        assert got.sigma.tobytes() == want.sigma.tobytes()
+    np.testing.assert_array_equal(basis.truncate(3).Psi, basis.Psi[:, :3])
+    for bad in (0, min(sm.data.shape) + 1):
+        with pytest.raises(InputError):
+            basis.truncate(bad)
+
+
+def test_span_route_rejects_data_off_its_span():
+    sm = span_fixture(4)
+    rng = np.random.default_rng(3)
+    off = sm.data + 1e-9 * rng.standard_normal(sm.data.shape)
+    with pytest.raises(ValueError, match="span"):
+        rom.full_pod(rom.SnapshotMatrix(off, "adjoint", 1, span=sm.span))
+    bad = sm.data.copy()
+    bad[2, 3] = np.nan
+    with pytest.raises(ValueError, match="span"):
+        rom.full_pod(rom.SnapshotMatrix(bad, "adjoint", 1, span=sm.span))
+
+
+def test_wide_span_takes_the_direct_route():
+    sm = span_fixture(4, cols=4)
+    basis = rom.full_pod(sm)
+    direct = rom.full_pod(sm.data)
+    assert basis.Psi.tobytes() == direct.Psi.tobytes()
+    assert basis.sigma.tobytes() == direct.sigma.tobytes()
+
+
 def test_snapshot_energy():
     sigma = np.array([2.0, 1.0, 1.0])
     np.testing.assert_allclose(rom.snapshot_energy(sigma),

@@ -4,7 +4,7 @@ import struct
 import numpy as np
 import pytest
 
-from obcoupling import assembly, bench, coupling, fom, rom, snapshots
+from obcoupling import assembly, bench, coupling, fom, linalg, rom, snapshots
 from obcoupling.errors import InputError
 from obcoupling.rom import SnapshotMatrix
 
@@ -78,6 +78,14 @@ def test_container_rejects_malformed(tmp_path):
     (tmp_path / "extra.snap").write_bytes(raw + b"\x00")
     with pytest.raises(ValueError):
         snapshots.read_snapshot_file(tmp_path / "extra.snap")
+
+    # a well-formed file whose matrix holds NaN or an infinity
+    for value in (np.nan, np.inf, -np.inf):
+        mat = np.ones((3, 2))
+        mat[1, 1] = value
+        snapshots.write_snapshot_file(tmp_path / "nonfinite.snap", mat, {})
+        with pytest.raises(InputError, match="NaN or infinite"):
+            snapshots.read_snapshot_file(tmp_path / "nonfinite.snap")
 
     # metadata must be a JSON object, and a store's subdomain an integer
     blob = b"[1]"
@@ -232,6 +240,67 @@ def test_mgd_matches_sparse_solve_oracle(m, delta, source):
                     <= 1e-12 * scale)
             g = ((1.0 - cfg.alpha0 * delta) * g
                  - cfg.alpha0 * (mu[1][tf[1]] - mu[2][tf[2]]))
+
+
+def span_defect(sm):
+    """Relative Frobenius distance of a snapshot matrix from its span."""
+    q, _ = np.linalg.qr(sm.span)
+    return (np.linalg.norm(sm.data - q @ (q.T @ sm.data))
+            / np.linalg.norm(sm.data))
+
+
+def test_collectors_attach_the_interface_span(tmp_path):
+    # every pair is sign_i Y_i jump, so each adjoint matrix lies in the span
+    # of Y_i; the span survives in memory but not through a SNAP1 store
+    prob = desk_problem(n_steps=12)
+    dec = prob.decomposition
+    states = snapshots.split_monolithic_snapshots(
+        fom.monolithic_solve(prob, supg_on=True), dec)
+    cfg = coupling.CouplingConfig(delta=1e-12, tol=1e-10, supg_on=True)
+    stores = {f"mgd{m}": snapshots.collect_mgd(prob, states, m, cfg)
+              for m in (1, 2)}
+    stores["gdra"] = snapshots.collect_gdra(prob, cfg)
+    for name, store in stores.items():
+        for side in (1, 2):
+            sm = store[f"adjoint_{side}"]
+            assert sm.span.shape == (dec.free_nodes(side).size, dec.n_control)
+            assert sm.n_snapshots > dec.n_control, name
+            assert span_defect(sm) <= 1e-13, (name, side)
+    for key in ("state_1", "state_2"):
+        assert states[key].span is None
+
+    snapshots.write_store(stores["mgd1"], tmp_path / "mgd1")
+    back = snapshots.read_store(tmp_path / "mgd1")
+    for side in (1, 2):
+        sm = back[f"adjoint_{side}"]
+        assert sm.span is None
+        basis = rom.full_pod(sm)
+        assert basis.n_modes == min(sm.data.shape)
+        np.testing.assert_allclose(basis.Psi.T @ basis.Psi,
+                                   np.eye(basis.n_modes), rtol=0, atol=1e-12)
+        in_memory = rom.full_pod(stores["mgd1"][f"adjoint_{side}"])
+        np.testing.assert_allclose(
+            basis.sigma, in_memory.sigma, rtol=0, atol=1e-13 * basis.sigma[0])
+
+
+def test_mgd1_pod_only_decomposes_n_control_rows(monkeypatch):
+    prob = desk_problem(n_steps=12)
+    dec = prob.decomposition
+    states = snapshots.split_monolithic_snapshots(
+        fom.monolithic_solve(prob, supg_on=True), dec)
+    store = snapshots.collect_mgd(prob, states, 1,
+                                  coupling.CouplingConfig(supg_on=True))
+    shapes = []
+    thin_svd = linalg.thin_svd
+
+    def counting_svd(matrix):
+        shapes.append(matrix.shape)
+        return thin_svd(matrix)
+
+    monkeypatch.setattr(linalg, "thin_svd", counting_svd)
+    for side in (1, 2):
+        rom.full_pod(store[f"adjoint_{side}"])
+    assert shapes == [(dec.n_control, prob.n_steps)] * 2
 
 
 def test_mgd_invariant_under_workers_and_order():
