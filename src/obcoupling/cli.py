@@ -297,8 +297,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, _Options]]:
     opts = subcommand("report", cmd_report, help="run the standard comparison set")
     _add_scenario_args(opts)
     _add_descent_args(opts)
-    opts.add("--gdra-delta", type=float, default=1e-14)
-    opts.add("--gdra-tol", type=float, default=1e-12)
     opts.add("--out", required=True, help="output directory")
     opts.add("--strict", action="store_true")
 

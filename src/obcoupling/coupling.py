@@ -19,9 +19,12 @@ A subdomain model's ``assembly.TraceResponse`` gives the trace of its state
 step as P_i u_i^{n-1} + W_i^T f_i + sign_i (T_i Z_i) g and its adjoint as
 sign_i Y_i jump, so the jump is j0 + R g and the adjoint trace difference is
 G jump, with R = sign_1 T_1 Z_1 - sign_2 T_2 Z_2 and
-G = sign_1 T_1 Y_1 - sign_2 T_2 Y_2. An InterfaceResponse reads one side's
-share from the responses of its state and adjoint models, each full order or
-reduced. Cost model: one TraceResponse per model (a multi-column sparse solve
+G = sign_1 T_1 Y_1 - sign_2 T_2 Y_2. That algebra lives here once, for the
+coupled march and both snapshot collectors: ``interface_maps`` builds
+(R, G) from the sides' state and adjoint responses, each full order or
+reduced, and ``write_pair`` writes the pair sign_i Y_i jump of a recorded
+jump into snapshot columns. An InterfaceResponse holds a side's state
+half. Cost model: one TraceResponse per model (a multi-column sparse solve
 cached with ``problem.operators`` and shared with MGD collection and later
 runs, or dense solves in ``rom.reduce_operators``) and no solve to set up a
 run; per timestep, a few n_control x n matvecs for j0, a few n_control x
@@ -81,7 +84,7 @@ class IterationStats:
 
     step: int
     iterations: int          # attempted control updates (accepted + rejected)
-    directions: int          # adjoint pairs solved
+    directions: int          # descent directions (gradients) formed
     alpha_reductions: int
     objective: float         # final value of J
     converged: bool
@@ -110,34 +113,42 @@ def control_gradient(mu_1: np.ndarray, mu_2: np.ndarray, g: np.ndarray, delta: f
     return delta * g + (mu_1[trace_free_1] - mu_2[trace_free_2])
 
 
-class InterfaceResponse:
-    """How one subdomain answers the interface control within a timestep.
+def interface_maps(state, adjoint) -> tuple[np.ndarray, np.ndarray]:
+    """(R, G) from the two sides' state and adjoint TraceResponses.
 
-    ``state`` and ``adjoint`` are each an OperatorSet (full order) or a
-    ReducedOperatorSet (reduced), so the two halves of a side may come from
-    different models; ``response`` is the state model's trace response, and
-    the adjoint half reads Y and T Y from the adjoint model's. States are
-    held in the state model's coordinates: free-DOF values or reduced
-    coefficients. ``load(n)`` gives the side's free-DOF load at timestep n,
-    projected onto Psi_u on a reduced side.
+    ``state`` and ``adjoint`` are (side 1, side 2) pairs: the jump at control
+    g is j0 + R g, and G maps a jump to the adjoint trace difference.
+    """
+    s_1, s_2 = sign_of(1), sign_of(2)
+    R = s_1 * state[0].TZ - s_2 * state[1].TZ
+    G = s_1 * adjoint[0].TY - s_2 * adjoint[1].TY
+    return R, G
+
+
+def write_pair(spans, jump: np.ndarray, out, col: int) -> None:
+    """Write the adjoint pair sign_i Y_i jump, spans = (Y_1, Y_2), into
+    column col of the two preallocated snapshot matrices out = (out_1, out_2)."""
+    for side, Y, out_i in zip((1, 2), spans, out):
+        out_i[:, col] = sign_of(side) * (Y @ jump)
+
+
+class InterfaceResponse:
+    """The state half of one subdomain within a timestep.
+
+    ``state`` is an OperatorSet (full order) or a ReducedOperatorSet
+    (reduced), and ``response`` its trace response. States are held in the
+    state model's coordinates: free-DOF values or reduced coefficients.
+    ``load(n)`` gives the side's free-DOF load at timestep n, projected onto
+    Psi_u on a reduced side.
     """
 
-    def __init__(self, side: int, state, adjoint, trace_free: np.ndarray, load=None):
+    def __init__(self, side: int, state, trace_free: np.ndarray, load=None):
         self.side = side
-        self.sign = sign_of(side)
         self._state = state
-        self._adjoint = adjoint
         self._load = load
         self._reduced_state = isinstance(state, rom.ReducedOperatorSet)
-        self._reduced_adjoint = isinstance(adjoint, rom.ReducedOperatorSet)
         self.response = (state.response if self._reduced_state
                          else state.trace_response(trace_free))
-        adjoint_response = (adjoint.response if self._reduced_adjoint
-                            else adjoint.trace_response(trace_free))
-        self.Y = adjoint_response.Y
-        # this side's signed shares of R and G
-        self.trace_Z = self.sign * self.response.TZ
-        self.trace_Y = self.sign * adjoint_response.TY
 
     def from_free(self, u_free: np.ndarray) -> np.ndarray:
         """State-model coordinates of a free-DOF vector: Psi_u^T v if reduced."""
@@ -157,11 +168,6 @@ class InterfaceResponse:
         step = rom.rom_state_step if self._reduced_state else state_step
         return step(self._state, u_prev, g, f, self.side)
 
-    def adjoint(self, jump: np.ndarray) -> np.ndarray:
-        """Free-DOF adjoint sign Y jump, lifted on a reduced side."""
-        mu = self.sign * (self.Y @ jump)
-        return self._adjoint.lift_adjoint(mu) if self._reduced_adjoint else mu
-
 
 def descent_timestep(j0: np.ndarray, R: np.ndarray, G: np.ndarray, g0: np.ndarray,
                      config: CouplingConfig, M_g, *, recorder=None,
@@ -175,7 +181,9 @@ def descent_timestep(j0: np.ndarray, R: np.ndarray, G: np.ndarray, g0: np.ndarra
     are recomputed only after accepts. An accepted trial that leaves g
     bitwise unchanged ends the step unconverged, since no later trial can
     move it. A step whose starting J is not finite makes no trial.
-    ``recorder(step_index, jump)`` is invoked for every direction.
+    ``recorder(step_index, jump)`` is invoked for every direction with the
+    control-ordered jump it was formed from; the array is valid only during
+    the call.
     """
     t_start = time.perf_counter()
     delta, tol = config.delta, config.tol
@@ -274,8 +282,8 @@ def run_transient(problem: ProblemSpec, config: CouplingConfig, *,
     ``state_rops`` / ``adjoint_rops`` select the model per subdomain: a
     ReducedOperatorSet runs that half of the side reduced, None runs it full
     order on ``problem.operators(side, config.supg_on)``. Reduced and full
-    halves mix freely. ``recorder(step, mu_1, mu_2)`` receives the free-DOF
-    adjoint pair of every descent direction.
+    halves mix freely. ``recorder`` goes to ``descent_timestep`` as is: it
+    receives (step, jump) for every descent direction.
     """
     dec = problem.decomposition
     n_steps = problem.n_steps
@@ -285,22 +293,17 @@ def run_transient(problem: ProblemSpec, config: CouplingConfig, *,
            else None for side in (1, 2)]
 
     t_start = time.perf_counter()
-    sides = []
+    sides, adjoints = [], []
     for side in (1, 2):
         srops, arops, op = state_rops[side - 1], adjoint_rops[side - 1], ops[side - 1]
-        sides.append(InterfaceResponse(
-            side, op if srops is None else srops, op if arops is None else arops,
-            dec.trace_free(side), load=make_loads(problem, dec, side)))
+        tf = dec.trace_free(side)
+        sides.append(InterfaceResponse(side, op if srops is None else srops, tf,
+                                       load=make_loads(problem, dec, side)))
+        adjoints.append(op.trace_response(tf) if arops is None else arops.response)
     first, second = sides
-    R = first.trace_Z - second.trace_Z
-    G = first.trace_Y - second.trace_Y
+    R, G = interface_maps((first.response, second.response), adjoints)
     # both sides share the same interface mass matrix
     M_g = assembly.assemble_interface_mass(dec, 1)[1].toarray()
-
-    on_direction = None
-    if recorder is not None:
-        def on_direction(step, jump):
-            recorder(step, first.adjoint(jump), second.adjoint(jump))
 
     u = [s.from_free(problem.u0[dec.node_map(s.side)[dec.free_nodes(s.side)]])
          for s in sides]
@@ -322,7 +325,7 @@ def run_transient(problem: ProblemSpec, config: CouplingConfig, *,
               - second.response.zero_control_trace(u[1], f[1]))
         g0 = g if config.warm_start else np.zeros(n_control)
         g, st = descent_timestep(j0, R, G, g0, config, M_g,
-                                 recorder=on_direction, step_index=n)
+                                 recorder=recorder, step_index=n)
         u = [s.step(u_i, g, f_i) for s, u_i, f_i in zip(sides, u, f)]
         controls[:, n] = g
         stats.append(st)

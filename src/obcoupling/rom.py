@@ -132,13 +132,13 @@ class ReducedOperatorSet:
     ``state_lu`` is the LU factor of Psi_u^T L Psi_u, with L the full-order
     state system; Mh = Psi_u^T M Psi_u carries the history term. ``response``
     maps reduced histories and loads to traces, and its
-    Y = (Psi_mu^T L^T Psi_mu)^{-1} Psi_mu^T M_g0 gives reduced adjoints.
+    Y = (Psi_mu^T L^T Psi_mu)^{-1} Psi_mu^T M_g0 gives reduced adjoints. The
+    adjoint basis Psi_mu enters only through Y and T Y, so it is not kept.
     """
 
     side: int
     dt: float
     Psi_u: np.ndarray
-    Psi_mu: np.ndarray
     Mh: np.ndarray
     state_lu: tuple           # scipy.linalg.lu_factor of the reduced state system
     PsiT_Mg0: np.ndarray      # (n_u, n_control)
@@ -147,9 +147,6 @@ class ReducedOperatorSet:
     def lift(self, uhat: np.ndarray) -> np.ndarray:
         """Free-DOF representation Psi_u @ uhat of a reduced state."""
         return self.Psi_u @ uhat
-
-    def lift_adjoint(self, muhat: np.ndarray) -> np.ndarray:
-        return self.Psi_mu @ muhat
 
 
 def _project(mat, basis: np.ndarray) -> np.ndarray:
@@ -178,7 +175,7 @@ def reduce_operators(ops: assembly.OperatorSet, Psi_u: np.ndarray,
     Y = scipy.linalg.lu_solve(scipy.linalg.lu_factor(_project(system.T, Psi_mu)),
                               (ops.M_g0.T @ Psi_mu).T)
     return ReducedOperatorSet(
-        side=ops.side, dt=ops.dt, Psi_u=Psi_u, Psi_mu=Psi_mu, Mh=Mh,
+        side=ops.side, dt=ops.dt, Psi_u=Psi_u, Mh=Mh,
         state_lu=state_lu, PsiT_Mg0=PsiT_Mg0, response=assembly.TraceResponse(
             trace_free=np.array(trace_free, dtype=np.int64), Y=Y, WT=WT,
             P=WT @ Mh / ops.dt, TZ=WT @ PsiT_Mg0, TY=Psi_mu[trace_free] @ Y))

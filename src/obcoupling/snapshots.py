@@ -3,10 +3,12 @@
 State snapshots come from restricting a monolithic trajectory to the two
 subdomains. Adjoint snapshots come from two collectors:
 
-* ``collect_gdra`` runs the coupled full-order solve and records every
-  adjoint pair the descent actually computes. The yield depends on how often
-  the warm-started objective already sits below tolerance, so the number of
-  snapshots is not known up front.
+* ``collect_gdra`` runs the coupled full-order solve and records the
+  interface jump of every descent direction it forms. The yield depends on
+  how often the warm-started objective already sits below tolerance, so
+  the number of pairs is known only after the run; the jumps (n_control
+  floats each) are kept, and the pairs are written afterwards into one
+  preallocated matrix per side.
 
 * ``collect_mgd`` runs m fixed-step descent iterations per timestep against
   the recorded state history instead of a marching state. Timesteps decouple
@@ -18,14 +20,14 @@ subdomains. Adjoint snapshots come from two collectors:
   matvecs of n_control x n_free matrices and no sparse solve. The
   zero-control jump j0 is the difference of the sides'
   ``zero_control_trace`` of the history columns s_i (and loads), exactly as
-  in ``coupling.run_transient``; the jump at control g is j0 + R g, and the
-  pair is mu_i = sign_i Y_i jump (R and G as in ``coupling``).
+  in ``coupling.run_transient``, and the jump at control g is j0 + R g.
 
-Both collectors' pairs are sign_i Y_i jump, so each adjoint matrix lies in
-the span of the side's Y_i (n_control columns). They attach that Y_i as the
-matrix's ``span``, and ``rom.full_pod`` builds the basis through it. SNAP1
-stores do not persist the span: a matrix read back has none, and its basis
-comes from the thin SVD of the data.
+Both collectors write each pair mu_i = sign_i Y_i jump with
+``coupling.write_pair`` (R and G come from ``coupling.interface_maps``), so
+each adjoint matrix lies in the span of the side's Y_i (n_control columns).
+They attach that Y_i as the matrix's ``span``, and ``rom.full_pod`` builds
+the basis through it. SNAP1 stores do not persist the span: a matrix read
+back has none, and its basis comes from the thin SVD of the data.
 
 Storage uses one file per snapshot matrix in a small binary container:
 magic "SNAP1", a version byte, little-endian u32 row and column counts, a
@@ -45,7 +47,7 @@ import numpy as np
 
 from obcoupling import coupling
 from obcoupling.errors import InputError
-from obcoupling.fom import ProblemSpec, Trajectory, sign_of
+from obcoupling.fom import ProblemSpec, Trajectory
 # not called here; span tracers patch these names at this lookup site
 from obcoupling.fom import adjoint_solve, modified_state_step  # noqa: F401
 from obcoupling.geometry import Decomposition
@@ -98,44 +100,34 @@ def split_monolithic_snapshots(traj: Trajectory, dec: Decomposition) -> Snapshot
 def collect_gdra(problem: ProblemSpec, config: coupling.CouplingConfig) -> SnapshotStore:
     """Adjoint snapshots from a coupled full-order run.
 
-    Records the free-DOF adjoint pair of every descent direction computed
-    during the transient solve (timesteps already below tolerance contribute
-    nothing).
+    One pair per descent direction formed during the transient solve
+    (timesteps already below tolerance contribute nothing), written from
+    the direction's jump in the order the run formed them.
     """
-    cols_1: list[np.ndarray] = []
-    cols_2: list[np.ndarray] = []
-    per_step: dict[int, int] = {}
-
-    def recorder(step, mu_1, mu_2):
-        cols_1.append(mu_1)
-        cols_2.append(mu_2)
-        per_step[step] = per_step.get(step, 0) + 1
-
-    result = coupling.run_transient(problem, config, recorder=recorder,
-                                    keep_trajectories=False)
+    jumps: list[np.ndarray] = []
+    result = coupling.run_transient(
+        problem, config, recorder=lambda step, jump: jumps.append(jump.copy()),
+        keep_trajectories=False)
 
     dec = problem.decomposition
-    n_free_1 = dec.free_nodes(1).size
-    n_free_2 = dec.free_nodes(2).size
-    data_1 = (np.column_stack(cols_1) if cols_1 else np.zeros((n_free_1, 0)))
-    data_2 = (np.column_stack(cols_2) if cols_2 else np.zeros((n_free_2, 0)))
-    # the recorded pairs are sign_i Y_i jump with the run's own responses
-    span_1, span_2 = (problem.operators(side, config.supg_on)
-                      .trace_response(dec.trace_free(side)).Y for side in (1, 2))
+    # the run's own full-order responses, cached with the problem's operators
+    spans = tuple(problem.operators(side, config.supg_on)
+                  .trace_response(dec.trace_free(side)).Y for side in (1, 2))
+    out = tuple(np.empty((Y.shape[0], len(jumps)), order="F") for Y in spans)
+    for col, jump in enumerate(jumps):
+        coupling.write_pair(spans, jump, out, col)
     meta = {
         "method": "gdra", "delta": config.delta, "tol": config.tol,
         "alpha0": config.alpha0, "supg_on": config.supg_on,
         "nu": problem.nu, "dt": problem.dt, "n_steps": problem.n_steps,
-        "n_pairs": data_1.shape[1],
-        "pairs_per_step": [per_step.get(n, 0) for n in range(1, problem.n_steps + 1)],
+        "n_pairs": len(jumps),
+        "pairs_per_step": [s.directions for s in result.stats],
         "all_converged": result.all_converged,
     }
     return SnapshotStore(matrices={
-        "adjoint_1": SnapshotMatrix(data=data_1, kind="adjoint", subdomain=1,
-                                    span=span_1),
-        "adjoint_2": SnapshotMatrix(data=data_2, kind="adjoint", subdomain=2,
-                                    span=span_2),
-    }, meta=meta)
+        f"adjoint_{side}": SnapshotMatrix(data=data, kind="adjoint",
+                                          subdomain=side, span=Y)
+        for side, data, Y in zip((1, 2), out, spans)}, meta=meta)
 
 
 def _mgd_step(n, m, ops_1, ops_2, state_1, state_2, tf_1, tf_2, config,
@@ -147,24 +139,20 @@ def _mgd_step(n, m, ops_1, ops_2, state_1, state_2, tf_1, tf_2, config,
     objective sequence to monitor there is nothing to halve against. Every
     solve happens in the sides' cached trace responses, so a step is a few
     dense matvecs: the zero-control jump j0 from the history columns, the
-    jump j0 + R g at control g, and the pair sign_i Y_i jump.
+    jump j0 + R g at control g, and the pair ``coupling.write_pair``.
     """
     delta, alpha = config.delta, config.alpha0
     r_1 = ops_1.trace_response(tf_1)
     r_2 = ops_2.trace_response(tf_2)
-    s_1, s_2 = sign_of(1), sign_of(2)
     f_1, f_2 = (None, None) if loads is None else (loads[0](n), loads[1](n))
     j0 = (r_1.zero_control_trace(state_1[:, n - 1], f_1)
           - r_2.zero_control_trace(state_2[:, n - 1], f_2))
     if m > 1:
-        R = s_1 * r_1.TZ - s_2 * r_2.TZ
-        G = s_1 * r_1.TY - s_2 * r_2.TY
+        R, G = coupling.interface_maps((r_1, r_2), (r_1, r_2))
     g = np.zeros(j0.size)
     jump = j0
     for k in range(m):
-        col = (n - 1) * m + k
-        out_1[:, col] = s_1 * (r_1.Y @ jump)
-        out_2[:, col] = s_2 * (r_2.Y @ jump)
+        coupling.write_pair((r_1.Y, r_2.Y), jump, (out_1, out_2), (n - 1) * m + k)
         if k + 1 < m:
             g = (1.0 - alpha * delta) * g - alpha * (G @ jump)
             jump = j0 + R @ g

@@ -161,6 +161,21 @@ def test_report_with_too_few_snapshots_exits_2(tmp_path, capsys):
     assert "cannot truncate" in capsys.readouterr().err
 
 
+def test_report_rejects_gdra_settings(tmp_path):
+    # no standard entry collects GDRA snapshots, so report has no GDRA knobs:
+    # neither as flags nor as config keys
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["report", *DESK, "--gdra-tol", "1e-8",
+                  "--out", str(tmp_path / "rep")])
+    assert exc.value.code == 2
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"gdra_delta": 1e-10}))
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["report", "--config", str(cfg), "--out", str(tmp_path / "rep")])
+    assert exc.value.code == 2
+    assert not (tmp_path / "rep").exists()
+
+
 def test_bad_arguments_exit_2():
     assert cli.main(["couple", "--state", "rom"]) == 2  # missing mode count
     assert cli.main(["couple", "--adjoint", "banana:3"]) == 2

@@ -161,6 +161,18 @@ def test_gdra_collects_one_pair_per_direction():
     assert store.meta["method"] == "gdra"
 
 
+def test_gdra_with_every_step_below_tol_collects_nothing():
+    # no timestep forms a direction, so each side gets a matrix of no columns
+    prob = bench.solid_body_rotation_problem(8)
+    cfg = coupling.CouplingConfig(tol=1e300, supg_on=True)
+    store = snapshots.collect_gdra(prob, cfg)
+    dec = prob.decomposition
+    for side in (1, 2):
+        assert store[f"adjoint_{side}"].data.shape == (dec.free_nodes(side).size, 0)
+    assert store.meta["n_pairs"] == 0
+    assert store.meta["pairs_per_step"] == [0] * prob.n_steps
+
+
 def test_mgd_exact_pair_count_and_first_iteration():
     prob = desk_problem(n_steps=3)
     dec = prob.decomposition
