@@ -27,9 +27,11 @@ jump into snapshot columns. An InterfaceResponse holds a side's state
 half. Cost model: one TraceResponse per model (a multi-column sparse solve
 cached with ``problem.operators`` and shared with MGD collection and later
 runs, or dense solves in ``rom.reduce_operators``) and no solve to set up a
-run; per timestep, a few n_control x n matvecs for j0, a few n_control x
-n_control matvecs per descent trial, and one sparse (or reduced) state solve
-per side at the accepted control.
+run; per timestep, a few n_control x n matvecs for j0 and one sparse (or
+reduced) state solve per side at the accepted control. A descent trial
+makes 3 n_control x n_control gemv (R g, M_g jump, M_g g), 2 dot products
+and 4 vector ufuncs into fixed n_control buffers, and allocates nothing;
+with delta = 0 it skips one gemv and one dot.
 """
 
 from __future__ import annotations
@@ -183,7 +185,7 @@ def descent_timestep(j0: np.ndarray, R: np.ndarray, G: np.ndarray, g0: np.ndarra
     move it. A step whose starting J is not finite makes no trial.
     ``recorder(step_index, jump)`` is invoked for every direction with the
     control-ordered jump it was formed from; the array is valid only during
-    the call.
+    the call. ``M_g`` is the dense control mass matrix.
     """
     t_start = time.perf_counter()
     delta, tol = config.delta, config.tol
@@ -193,23 +195,38 @@ def descent_timestep(j0: np.ndarray, R: np.ndarray, G: np.ndarray, g0: np.ndarra
     jump = j0 + R @ g
     obj = _objective_from_jump(jump, g, delta, M_g)
 
+    # Trials write into fixed buffers, and an accept swaps g with g_try. A
+    # trial overwrites jump, which is read only to form a direction right
+    # after an accept. The products and their order are those of
+    # _objective_from_jump, so a trial's J equals it bit for bit.
+    g_try, trace_diff, step, tmp = (np.empty_like(g) for _ in range(4))
+
     iterations = 0
     directions = 0
     reductions = 0
     accepted = [obj] if config.record_history else None
-    trace_diff = None
+    fresh = False  # trace_diff holds the direction of the current g
     stop = None if math.isfinite(obj) else "non_finite"
 
     while stop is None and obj >= tol and iterations < config.max_iters:
-        if trace_diff is None:
-            trace_diff = G @ jump
+        if not fresh:
+            G.dot(jump, trace_diff)
+            fresh = True
             directions += 1
             if recorder is not None:
                 recorder(step_index, jump)
 
-        g_try = (1.0 - alpha * delta) * g - alpha * trace_diff
-        jump_try = j0 + R @ g_try
-        obj_try = _objective_from_jump(jump_try, g_try, delta, M_g)
+        # g_try = (1 - alpha delta) g - alpha trace_diff, jump = j0 + R g_try
+        np.multiply(g, 1.0 - alpha * delta, out=g_try)
+        np.multiply(trace_diff, alpha, out=step)
+        np.subtract(g_try, step, out=g_try)
+        R.dot(g_try, tmp)
+        np.add(j0, tmp, out=jump)
+        M_g.dot(jump, tmp)
+        obj_try = 0.5 * float(jump.dot(tmp))
+        if delta != 0.0:
+            M_g.dot(g_try, tmp)
+            obj_try += 0.5 * delta * float(g_try.dot(tmp))
         iterations += 1
 
         if obj_try > obj or not math.isfinite(obj_try):
@@ -217,12 +234,14 @@ def descent_timestep(j0: np.ndarray, R: np.ndarray, G: np.ndarray, g0: np.ndarra
             alpha *= 0.5
             reductions += 1
             continue
-        if np.array_equal(g_try, g):
+        # J is a function of g, so an unchanged g shows first as an equal J
+        if obj_try == obj and np.array_equal(g_try, g):
             stop = "stagnated"  # the step fell below roundoff: g cannot move
             break
 
-        g, jump, obj = g_try, jump_try, obj_try
-        trace_diff = None
+        g, g_try = g_try, g
+        obj = obj_try
+        fresh = False
         if accepted is not None:
             accepted.append(obj)
 

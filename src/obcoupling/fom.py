@@ -115,11 +115,12 @@ def monolithic_solve(problem: ProblemSpec, *, supg_on: bool = False) -> Trajecto
 def state_step(ops: assembly.OperatorSet, u_prev: np.ndarray, g: np.ndarray,
                f_free: np.ndarray | None, side: int) -> np.ndarray:
     """One implicit Euler step of a subdomain with interface control g."""
-    rhs = ops.M @ u_prev / ops.dt
+    rhs = ops.M @ u_prev
+    rhs /= ops.dt
     if f_free is not None:
-        rhs = rhs + f_free
+        rhs += f_free
     if g is not None:
-        rhs = rhs + sign_of(side) * (ops.M_g0 @ g)
+        rhs += sign_of(side) * (ops.M_g0 @ g)
     return ops.state_factor().solve(rhs)
 
 

@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.lapack import dgetrs
 
 from obcoupling import assembly, linalg
 from obcoupling.errors import InputError
@@ -185,14 +186,20 @@ def rom_state_step(rops: ReducedOperatorSet, uhat_prev: np.ndarray,
                    g: np.ndarray, f_hat: np.ndarray | None, side: int) -> np.ndarray:
     """One reduced implicit Euler step with interface control g.
 
-    ``f_hat`` is the step's projected load Psi_u^T f, or None.
+    ``f_hat`` is the step's projected load Psi_u^T f, or None. The solve is
+    LAPACK's getrs on the stored factors, the routine ``lu_solve`` wraps; a
+    right-hand side holding NaN or infinity raises ValueError as there.
     """
-    rhs = rops.Mh @ uhat_prev / rops.dt
+    rhs = rops.Mh @ uhat_prev
+    rhs /= rops.dt
     if f_hat is not None:
-        rhs = rhs + f_hat
+        rhs += f_hat
     if g is not None:
-        rhs = rhs + sign_of(side) * (rops.PsiT_Mg0 @ g)
-    return scipy.linalg.lu_solve(rops.state_lu, rhs)
+        rhs += sign_of(side) * (rops.PsiT_Mg0 @ g)
+    if not np.isfinite(rhs).all():
+        raise ValueError("reduced state step: right-hand side holds NaN or infinity")
+    lu, piv = rops.state_lu
+    return dgetrs(lu, piv, rhs, overwrite_b=True)[0]
 
 
 def rom_adjoint_from_jump(rops: ReducedOperatorSet, jump: np.ndarray,

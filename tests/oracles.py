@@ -4,10 +4,20 @@ Everything here is deliberately written the slow way: explicit Python loops
 over elements and a 3-point Gauss rule per direction (one order higher than
 the production 2x2 rule, exact for every bilinear-form integrand involved).
 No code is shared with the package's vectorized assembly.
+
+``descent_timestep`` is the interface-space descent written the plain way:
+it allocates every trial's vectors and prices each one with
+``_objective_from_jump``. The package's loop, which works in fixed buffers,
+must reproduce it bit for bit.
 """
+
+import math
+import time
 
 import numpy as np
 import scipy.sparse as sp
+
+from obcoupling.coupling import CouplingConfig, IterationStats, _objective_from_jump
 
 _G3 = np.sqrt(3.0 / 5.0)
 GAUSS_1D = [(-_G3, 5.0 / 9.0), (0.0, 8.0 / 9.0), (_G3, 5.0 / 9.0)]
@@ -220,3 +230,70 @@ def backward_euler_dense(M, K, A, free, nu, dt, u0_full, n_steps, S=None):
         u = np.linalg.solve(L_ff, M_ff @ u / dt)
         out.append(u.copy())
     return np.array(out).T
+
+
+def descent_timestep(j0: np.ndarray, R: np.ndarray, G: np.ndarray, g0: np.ndarray,
+                     config: CouplingConfig, M_g, *, recorder=None,
+                     step_index: int = 0):
+    """Minimize the interface objective for one timestep in interface space.
+
+    The jump at control g is j0 + R g and the adjoint trace difference of a
+    jump is G jump (see ``obcoupling.coupling``). Returns (g, stats) with the
+    accepted control. A trial that increases J, or whose J is not finite, is
+    rejected: the step halves and the same direction is retried; directions
+    are recomputed only after accepts. An accepted trial that leaves g
+    bitwise unchanged ends the step unconverged, since no later trial can
+    move it. A step whose starting J is not finite makes no trial.
+    ``recorder(step_index, jump)`` is invoked for every direction with the
+    control-ordered jump it was formed from; the array is valid only during
+    the call.
+    """
+    t_start = time.perf_counter()
+    delta, tol = config.delta, config.tol
+    alpha = config.alpha0
+
+    g = np.array(g0, dtype=np.float64)
+    jump = j0 + R @ g
+    obj = _objective_from_jump(jump, g, delta, M_g)
+
+    iterations = 0
+    directions = 0
+    reductions = 0
+    accepted = [obj] if config.record_history else None
+    trace_diff = None
+    stop = None if math.isfinite(obj) else "non_finite"
+
+    while stop is None and obj >= tol and iterations < config.max_iters:
+        if trace_diff is None:
+            trace_diff = G @ jump
+            directions += 1
+            if recorder is not None:
+                recorder(step_index, jump)
+
+        g_try = (1.0 - alpha * delta) * g - alpha * trace_diff
+        jump_try = j0 + R @ g_try
+        obj_try = _objective_from_jump(jump_try, g_try, delta, M_g)
+        iterations += 1
+
+        if obj_try > obj or not math.isfinite(obj_try):
+            # reject: halve the step, keep the current iterate and direction
+            alpha *= 0.5
+            reductions += 1
+            continue
+        if np.array_equal(g_try, g):
+            stop = "stagnated"  # the step fell below roundoff: g cannot move
+            break
+
+        g, jump, obj = g_try, jump_try, obj_try
+        trace_diff = None
+        if accepted is not None:
+            accepted.append(obj)
+
+    if stop is None:
+        stop = "tol" if obj < tol else "max_iters"
+    stats = IterationStats(
+        step=step_index, iterations=iterations, directions=directions,
+        alpha_reductions=reductions, objective=obj, converged=stop == "tol",
+        wall_time=time.perf_counter() - t_start, stop_reason=stop,
+        accepted_objectives=accepted)
+    return g, stats

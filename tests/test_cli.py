@@ -153,6 +153,16 @@ def test_report_command(tmp_path, capsys):
     assert "rs-fa-50: 126 max_iters" in err
 
 
+def test_report_is_byte_deterministic(tmp_path):
+    # two runs of the same report write the same bytes: the descent reuses
+    # its buffers, so aliasing or address-dependent arithmetic would show here
+    for name in ("a", "b"):
+        assert cli.main(["report", "--level", "16", "--T", "2.0",
+                         "--out", str(tmp_path / name)]) == 0
+    for csv in ("report.csv", "singular_values.csv"):
+        assert (tmp_path / "a" / csv).read_bytes() == (tmp_path / "b" / csv).read_bytes()
+
+
 def test_report_with_too_few_snapshots_exits_2(tmp_path, capsys):
     # a short run gives 29 state snapshots, fewer than the 100 modes of the
     # standard entries

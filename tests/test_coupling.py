@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from obcoupling import assembly, bench, coupling, fom, linalg, rom, snapshots
 from obcoupling.errors import InputError
 from obcoupling.geometry import build_mesh, decompose
@@ -98,7 +99,7 @@ def test_descent_zero_iterations_when_already_converged():
     cfg = coupling.CouplingConfig(delta=1e-16, tol=1e30, record_history=True)
     g0 = np.zeros(dec.n_control)
     g, stats = coupling.descent_timestep(
-        *interface_system(responses, u_prev), g0, cfg, ops[0].M_g)
+        *interface_system(responses, u_prev), g0, cfg, ops[0].M_g.toarray())
     assert stats.iterations == 0
     assert stats.directions == 0
     assert stats.converged and stats.stop_reason == "tol"
@@ -108,7 +109,7 @@ def test_descent_zero_iterations_when_already_converged():
 def test_descent_single_update_algebra():
     dec = decompose(build_mesh(6, 4), 0.5)
     ops, responses, u_prev = fom_responses(dec, seed=3)
-    M_g = ops[0].M_g
+    M_g = ops[0].M_g.toarray()
     delta, alpha = 1e-2, 1e-3
     cfg = coupling.CouplingConfig(delta=delta, tol=1e-30, alpha0=alpha,
                                   max_iters=1)
@@ -141,7 +142,7 @@ def test_descent_rejects_increases_and_halves_step():
                                   max_iters=60, record_history=True)
     g0 = np.zeros(dec.n_control)
     g, stats = coupling.descent_timestep(
-        *interface_system(responses, u_prev), g0, cfg, ops[0].M_g)
+        *interface_system(responses, u_prev), g0, cfg, ops[0].M_g.toarray())
     assert stats.alpha_reductions > 0
     hist = np.array(stats.accepted_objectives)
     assert (np.diff(hist) <= 0.0).all()
@@ -155,7 +156,7 @@ def test_descent_monotone_accepted_objectives():
                                   max_iters=300, record_history=True)
     _, stats = coupling.descent_timestep(
         *interface_system(responses, u_prev), np.zeros(dec.n_control), cfg,
-        ops[0].M_g)
+        ops[0].M_g.toarray())
     hist = np.array(stats.accepted_objectives)
     assert len(hist) > 3
     assert (np.diff(hist) <= 0.0).all()
@@ -171,7 +172,7 @@ def test_descent_rejects_non_finite_trials():
     with np.errstate(all="ignore"):
         g, stats = coupling.descent_timestep(
             *interface_system(responses, u_prev), np.zeros(dec.n_control),
-            cfg, ops[0].M_g)
+            cfg, ops[0].M_g.toarray())
     assert stats.alpha_reductions > 0
     assert np.isfinite(g).all() and np.isfinite(stats.objective)
     hist = np.array(stats.accepted_objectives)
@@ -188,7 +189,7 @@ def test_descent_stops_when_accepted_trial_leaves_control_unchanged():
     cfg = coupling.CouplingConfig(delta=0.0, tol=1e-30)
     g0 = np.ones(dec.n_control)
     g, stats = coupling.descent_timestep(j0, R, np.zeros_like(G), g0, cfg,
-                                         ops[0].M_g)
+                                         ops[0].M_g.toarray())
     assert stats.iterations == 1
     assert stats.directions == 1
     assert not stats.converged and stats.stop_reason == "stagnated"
@@ -206,7 +207,8 @@ def test_descent_stops_at_a_non_finite_start(bad):
     cfg = coupling.CouplingConfig(delta=1e-16, tol=1e-14, max_iters=50)
     g0 = np.zeros(dec.n_control)
     with np.errstate(invalid="ignore"):
-        g, stats = coupling.descent_timestep(j0, R, G, g0, cfg, ops[0].M_g)
+        g, stats = coupling.descent_timestep(j0, R, G, g0, cfg,
+                                             ops[0].M_g.toarray())
     assert stats.stop_reason == "non_finite" and not stats.converged
     assert stats.iterations == 0 and stats.directions == 0
     np.testing.assert_array_equal(g, g0)
@@ -245,6 +247,96 @@ def test_descent_property_on_random_interface_systems(n, seed, scale, delta,
     assert np.isfinite(g).all()
     assert stats.objective == coupling._objective_from_jump(
         j0 + R @ g, g, delta, M_g)
+
+
+def descent_record(descent, j0, R, G, g0, cfg, M_g):
+    """Bytes of everything a descent reports but its wall time: the control,
+    every IterationStats field and the copied jump of every direction."""
+    jumps = []
+    g, stats = descent(j0, R, G, g0, cfg, M_g, step_index=3,
+                       recorder=lambda n, jump: jumps.append((n, jump.tobytes())))
+    fields = dataclasses.asdict(stats)
+    del fields["wall_time"]
+    fields["objective"] = np.float64(stats.objective).tobytes()
+    if stats.accepted_objectives is not None:
+        fields["accepted_objectives"] = np.array(stats.accepted_objectives).tobytes()
+    return g.tobytes(), fields, jumps
+
+
+def assert_descent_matches_oracle(j0, R, G, g0, cfg, M_g):
+    assert (descent_record(coupling.descent_timestep, j0, R, G, g0, cfg, M_g)
+            == descent_record(oracles.descent_timestep, j0, R, G, g0, cfg, M_g))
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(1, 6), seed=st.integers(0, 2**32 - 1),
+       scale=st.sampled_from([1e-6, 1.0, 1e3]),
+       delta=st.sampled_from([0.0, 1e-16, 1e-3, 1.0]),
+       alpha0=st.sampled_from([1e-3, 1.0, 2.0, 1e6]),
+       tol=st.sampled_from([1e-14, 1e-8, 1e-2]),
+       max_iters=st.integers(1, 200), record_history=st.booleans())
+def test_descent_matches_the_allocating_oracle_bitwise(n, seed, scale, delta, alpha0,
+                                                       tol, max_iters, record_history):
+    # the loop prices trials into fixed buffers; it must take every decision
+    # of the allocating loop it replaced and return the same bits
+    rng = np.random.default_rng(seed)
+    j0 = scale * rng.standard_normal(n)
+    R = rng.standard_normal((n, n))
+    G = rng.standard_normal((n, n))
+    g0 = rng.standard_normal(n) if seed % 2 else np.zeros(n)
+    B = rng.standard_normal((n, n))
+    M_g = B @ B.T + n * np.eye(n)
+    cfg = coupling.CouplingConfig(delta=delta, tol=tol, alpha0=alpha0,
+                                  max_iters=max_iters, record_history=record_history)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert_descent_matches_oracle(j0, R, G, g0, cfg, M_g)
+
+
+def test_descent_matches_the_oracle_at_stagnation_and_non_finite_starts():
+    dec = decompose(build_mesh(6, 4), 0.5)
+    ops, responses, u_prev = fom_responses(dec)
+    j0, R, G = interface_system(responses, u_prev)
+    M_g = ops[0].M_g.toarray()
+    cfg = coupling.CouplingConfig(delta=0.0, tol=1e-30, record_history=True)
+    assert_descent_matches_oracle(j0, R, np.zeros_like(G), np.ones(dec.n_control),
+                                  cfg, M_g)
+    cfg = coupling.CouplingConfig(delta=1e-16, tol=1e-14, max_iters=50)
+    for bad in (np.nan, np.inf):
+        j0_bad = j0.copy()
+        j0_bad[2] = bad
+        with np.errstate(invalid="ignore"):
+            assert_descent_matches_oracle(j0_bad, R, G, np.zeros(dec.n_control),
+                                          cfg, M_g)
+
+
+def test_transient_runs_match_the_oracle_descent_bitwise(monkeypatch):
+    # FOM-FOM, ROM-ROM and mixed halves at level 8 over 20 steps at the
+    # paper's tolerance: controls, finals and stats as with the old loop
+    prob = desk_problem(n_steps=20)
+    dec = prob.decomposition
+    mono = fom.monolithic_solve(prob, supg_on=True)
+    store = snapshots.split_monolithic_snapshots(mono, dec)
+    rops = []
+    for side in (1, 2):
+        ops = prob.operators(side, True)
+        psi = rom.full_pod(store[f"state_{side}"]).truncate(12).Psi
+        rops.append(rom.reduce_operators(ops, psi, trace_free=dec.trace_free(side)))
+    runs = {"fom-fom": {}, "rom-rom": {"state_rops": tuple(rops),
+                                       "adjoint_rops": tuple(rops)},
+            "mixed": {"state_rops": (rops[0], None), "adjoint_rops": (None, rops[1])}}
+    cfg = coupling.CouplingConfig(supg_on=True, max_iters=500)
+
+    def record(res):
+        stats = [(s.iterations, s.directions, s.alpha_reductions,
+                  np.float64(s.objective).tobytes(), s.stop_reason) for s in res.stats]
+        return (res.control.values.tobytes(), res.final_1.tobytes(),
+                res.final_2.tobytes(), stats)
+
+    got = {name: record(coupling.run_transient(prob, cfg, **kw))
+           for name, kw in runs.items()}
+    monkeypatch.setattr(coupling, "descent_timestep", oracles.descent_timestep)
+    for name, kw in runs.items():
+        assert got[name] == record(coupling.run_transient(prob, cfg, **kw)), name
 
 
 def test_transient_fom_vs_monolithic_short():
@@ -438,7 +530,7 @@ def test_descent_stagnates_at_the_fixed_point_of_the_interface_maps(seed, delta)
     j0, R, G = interface_system(responses, (u_1, u_2))
     cfg = coupling.CouplingConfig(delta=delta, tol=1e-20)
     g, stats = coupling.descent_timestep(j0, R, G, np.zeros(dec.n_control), cfg,
-                                         ops_1.M_g)
+                                         ops_1.M_g.toarray())
     want = np.linalg.solve(delta * np.eye(dec.n_control) + G @ R, -G @ j0)
     assert stats.stop_reason == "stagnated"
     assert np.linalg.norm(g - want) <= 1e-9 * np.linalg.norm(want)

@@ -174,6 +174,32 @@ def test_full_basis_reproduces_fom_step():
             np.testing.assert_allclose(Q @ muhat, mu_full, atol=1e-11)
 
 
+def test_rom_state_step_equals_lu_solve_bitwise():
+    # the step solves with LAPACK getrs on the stored factors, the routine
+    # lu_solve wraps, so it returns lu_solve's bits with or without a load
+    dec = decompose(build_mesh(8, 8), 0.5)
+    rng = np.random.default_rng(9)
+    for side in (1, 2):
+        n_free = dec.free_nodes(side).size
+        Psi, _ = np.linalg.qr(rng.standard_normal((n_free, 10)))
+        _, rops = reduced_pair(dec, side, Psi, nu=1e-3, dt=0.05, supg_on=True)
+        uhat = rng.standard_normal(10)
+        g = rng.standard_normal(dec.n_control)
+        for f_hat in (None, rng.standard_normal(10)):
+            rhs = rops.Mh @ uhat / rops.dt
+            if f_hat is not None:
+                rhs = rhs + f_hat
+            rhs = rhs + fom.sign_of(side) * (rops.PsiT_Mg0 @ g)
+            want = scipy.linalg.lu_solve(rops.state_lu, rhs)
+            got = rom.rom_state_step(rops, uhat, g, f_hat, side)
+            assert got.tobytes() == want.tobytes()
+        for bad in (np.nan, np.inf, -np.inf):
+            uhat_bad = uhat.copy()
+            uhat_bad[3] = bad
+            with np.errstate(invalid="ignore"), pytest.raises(ValueError):
+                rom.rom_state_step(rops, uhat_bad, g, None, side)
+
+
 def test_reduced_adjoint_is_transpose_of_reduced_state():
     # with Psi_mu = Psi_u the reduced adjoint system is the exact transpose
     # of the reduced state system Psi^T L Psi, mirroring the full-order
