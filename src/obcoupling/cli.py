@@ -221,6 +221,8 @@ def cmd_report(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
+    if args.trials < 1:
+        raise InputError(f"--trials must be at least 1, got {args.trials}")
     worst = 0.0
     for trial in range(args.trials):
         dec, ops_1, ops_2, u_prev_1, u_prev_2, g = coupling.random_gradient_instance(

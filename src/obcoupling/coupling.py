@@ -392,7 +392,14 @@ def fd_gradient_check(ops_1: assembly.OperatorSet, ops_2: assembly.OperatorSet,
     (J(g + eps e) - J(g - eps e)) / (2 eps) against grad^T M_g e. The
     objective is quadratic in g, so the central difference is exact up to
     roundoff and the returned mismatch should sit near machine precision.
+    A non-finite mismatch is returned as inf, so it fails any tolerance.
     """
+    if not (math.isfinite(eps) and eps > 0):
+        raise InputError(f"eps={eps} must be finite and positive")
+    if not (math.isfinite(delta) and delta >= 0):
+        raise InputError(f"delta={delta} must be finite and nonnegative")
+    if n_directions < 1:
+        raise InputError(f"n_directions={n_directions} must be at least 1")
 
     def solve_pair(gv):
         u_1 = state_step(ops_1, u_prev_1, gv, None, 1)
@@ -417,5 +424,8 @@ def fd_gradient_check(ops_1: assembly.OperatorSet, ops_2: assembly.OperatorSet,
         fd = (value(g + eps * e) - value(g - eps * e)) / (2.0 * eps)
         an = float(grad @ (M_g @ e))
         scale = max(abs(fd), abs(an), 1e-30)
-        worst = max(worst, abs(fd - an) / scale)
+        mismatch = abs(fd - an) / scale
+        if not math.isfinite(mismatch):
+            return math.inf
+        worst = max(worst, mismatch)
     return worst

@@ -255,6 +255,13 @@ def test_config_placement_before_subcommand(tmp_path):
     ([*SHORT, "--nu", "nan"], "need finite nu"),
     ([*SHORT, "--nu", "inf"], "need finite nu"),
     (["couple", "--level", "8", "--T", "nan"], "T=nan must be finite"),
+    # a gradient check with no trials or a NaN step would pass vacuously
+    (["gradcheck", "--trials", "0"], "--trials must be at least 1"),
+    (["gradcheck", "--trials", "-1"], "--trials must be at least 1"),
+    (["gradcheck", "--eps", "nan"], "eps=nan must be finite and positive"),
+    (["gradcheck", "--eps", "inf"], "eps=inf must be finite and positive"),
+    (["gradcheck", "--eps", "0"], "eps=0.0 must be finite and positive"),
+    (["gradcheck", "--delta", "nan"], "delta=nan must be finite and nonnegative"),
 ])
 def test_library_value_errors_exit_2(tmp_path, capsys, argv, message):
     argv = [arg.format(tmp=tmp_path) for arg in argv]

@@ -79,6 +79,20 @@ def test_fd_gradient_check_random_instances():
         assert err < 1e-7
 
 
+def test_fd_gradient_check_fails_on_non_finite_and_rejects_bad_settings():
+    dec, ops_1, ops_2, u1, u2, g = coupling.random_gradient_instance(8, seed=0)
+    args = (ops_1, ops_2, dec.trace_free(1), dec.trace_free(2), ops_1.M_g)
+    # a NaN state makes every difference NaN; that must read as a failure, not 0
+    u_nan = u1.copy()
+    u_nan[3] = np.nan
+    assert coupling.fd_gradient_check(*args, u_nan, u2, g, 1e-3) == np.inf
+    for kwargs in ({"eps": 0.0}, {"eps": -1e-5}, {"eps": np.nan}, {"eps": np.inf},
+                   {"delta": np.nan}, {"delta": -1.0}, {"n_directions": 0}):
+        kwargs = {"delta": 1e-3, **kwargs}
+        with pytest.raises(InputError):
+            coupling.fd_gradient_check(*args, u1, u2, g, **kwargs)
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         coupling.CouplingConfig(delta=-1.0)

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from obcoupling.errors import InputError
 from obcoupling.geometry import build_mesh, decompose
 
 
@@ -50,12 +51,23 @@ def test_build_mesh_rejects_bad_extent():
         build_mesh(0, 4)
     with pytest.raises(ValueError):
         build_mesh(4, 4, x_min=1.0, x_max=0.0)
+    # an infinite extent or width passes the ordering check and gives NaN coordinates
+    for extent in ({"x_max": np.inf}, {"y_max": np.inf}, {"x_min": -np.inf},
+                   {"y_min": np.nan}, {"x_min": -1e308, "x_max": 1e308}):
+        with pytest.raises(InputError, match="finite extents"):
+            build_mesh(4, 4, **extent)
+    # a width below the grid's resolution makes coincident grid lines (hx == 0)
+    with pytest.raises(InputError, match="degenerate rectangle"):
+        build_mesh(4, 4, x_min=1.0, x_max=1.0 + 4e-16)
 
 
 def test_decompose_rejects_off_grid_interface():
     mesh = build_mesh(5, 5)  # gridlines at multiples of 0.2
     with pytest.raises(ValueError):
         decompose(mesh, 0.5)
+    for x in (np.nan, np.inf, -np.inf, 1e308):
+        with pytest.raises(InputError, match="not an interior grid line"):
+            decompose(mesh, x)
     dec = decompose(mesh, 0.4)
     assert dec.sub(1).nx == 2 and dec.sub(2).nx == 3
 
@@ -73,12 +85,20 @@ def test_interface_node_sets():
     mesh = build_mesh(6, 4)
     dec = decompose(mesh, 0.5)
     assert dec.n_control == 3  # ny - 1 interior interface nodes
-    for side, nodes in ((1, dec.interface_nodes_1), (2, dec.interface_nodes_2)):
+    x_cut = mesh.coords[mesh.node_index(3, 0), 0]
+    assert x_cut == pytest.approx(0.5)
+    for side in (1, 2):
         sub = dec.sub(side)
+        nodes = np.flatnonzero(sub.coords[:, 0] == x_cut)
         coords = sub.coords[nodes]
-        np.testing.assert_allclose(coords[:, 0], 0.5)
         assert (np.diff(coords[:, 1]) > 0).all()
         assert coords[0, 1] == 0.0 and coords[-1, 1] == 1.0
+        # the endpoints are Dirichlet; the interior nodes are the control, in order
+        assert np.isin(nodes[[0, -1]], dec.dirichlet_nodes(side)).all()
+        np.testing.assert_array_equal(dec.free_nodes(side)[dec.trace_free(side)],
+                                      nodes[1:-1])
+    with pytest.raises(ValueError, match="side must be 1 or 2"):
+        dec.sub(3)
 
 
 def test_dirichlet_excludes_interface_interior():
@@ -101,11 +121,10 @@ def test_free_dirichlet_partition():
     for side in (1, 2):
         free = dec.free_nodes(side)
         fixed = dec.dirichlet_nodes(side)
+        assert (np.diff(free) > 0).all() and (np.diff(fixed) > 0).all()
         assert np.intersect1d(free, fixed).size == 0
-        assert free.size + fixed.size == dec.sub(side).n_nodes
-        n2f = dec.node_to_free(side)
-        np.testing.assert_array_equal(n2f[free], np.arange(free.size))
-        assert (n2f[fixed] == -1).all()
+        np.testing.assert_array_equal(np.union1d(free, fixed),
+                                      np.arange(dec.sub(side).n_nodes))
 
 
 def test_trace_maps_agree_across_interface():
@@ -120,21 +139,26 @@ def test_trace_maps_agree_across_interface():
     assert y1.size == dec.n_control
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=50, deadline=None)
 @given(nx=st.integers(2, 12), ny=st.integers(2, 10),
-       cut=st.integers(1, 11))
-def test_decompose_properties(nx, ny, cut):
-    if cut >= nx:
-        cut = nx - 1
-        if cut < 1:
-            return
-    mesh = build_mesh(nx, ny)
-    dec = decompose(mesh, cut * mesh.hx)
-    assert dec.sub(1).nx + dec.sub(2).nx == nx
+       x_min=st.floats(-3.0, 3.0), width=st.floats(0.5, 4.0),
+       y_min=st.floats(-3.0, 3.0), height=st.floats(0.5, 4.0), data=st.data())
+def test_decompose_properties(nx, ny, x_min, width, y_min, height, data):
+    cut = data.draw(st.integers(1, nx - 1), label="cut")
+    mesh = build_mesh(nx, ny, x_min, x_min + width, y_min, y_min + height)
+    column = mesh.node_index(cut, np.arange(ny + 1))
+    x_cut = mesh.coords[column[0], 0]
+    dec = decompose(mesh, x_cut)
+    assert dec.sub(1).nx == cut and dec.sub(2).nx == nx - cut
     assert dec.n_control == ny - 1
-    # parent nodes referenced by both subdomains are exactly the interface
-    shared = np.intersect1d(dec.node_map(1), dec.node_map(2))
+    # parent nodes referenced by both subdomains are exactly the cut column
     np.testing.assert_array_equal(
-        np.sort(dec.node_map(1)[dec.interface_nodes_1]), shared)
+        np.intersect1d(dec.node_map(1), dec.node_map(2)), column)
     for side in (1, 2):
-        assert (dec.sub(side).coords == mesh.coords[dec.node_map(side)]).all()
+        sub = dec.sub(side)
+        assert (sub.coords == mesh.coords[dec.node_map(side)]).all()
+        # the control trace is the cut column's interior, ascending y, on both
+        # sides with the parent's bits
+        trace = sub.coords[dec.free_nodes(side)[dec.trace_free(side)]]
+        assert (trace == mesh.coords[column[1:-1]]).all()
+        assert (trace[:, 0] == x_cut).all() and (np.diff(trace[:, 1]) > 0).all()
