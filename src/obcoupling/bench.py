@@ -106,24 +106,13 @@ class BenchmarkSpec:
     nu: float = 1e-5
     dt: float | None = None
     T: float = 2.0 * math.pi
-    delta: float = 1e-16
-    tol: float = 1e-14
-    alpha0: float = 2.0
-    max_iters: int = 10000
-    supg_on: bool = True
-    warm_start: bool = True
+    config: coupling.CouplingConfig = coupling.CouplingConfig()
     gdra_delta: float = 1e-14   # descent-recorded collection runs its own
     gdra_tol: float = 1e-12     # regularization and tolerance
 
     def problem(self) -> ProblemSpec:
         return solid_body_rotation_problem(self.level, nu=self.nu, dt=self.dt,
                                            T=self.T)
-
-    def config(self) -> coupling.CouplingConfig:
-        return coupling.CouplingConfig(
-            delta=self.delta, tol=self.tol, alpha0=self.alpha0,
-            max_iters=self.max_iters, warm_start=self.warm_start,
-            supg_on=self.supg_on)
 
 
 @dataclass(frozen=True)
@@ -140,6 +129,13 @@ class ExperimentEntry:
     state_modes: int | None = None
     adjoint_modes: int | None = None
     adjoint_source: str = "mgd1"
+
+    def __post_init__(self):
+        source = self.adjoint_source
+        if source not in ("state", "gdra") and not (
+                source.startswith("mgd") and source[3:].isascii()
+                and source[3:].isdecimal()):
+            raise InputError(f"unknown adjoint source {source!r}")
 
 
 @dataclass
@@ -207,7 +203,7 @@ class ExperimentContext:
     def __init__(self, spec: BenchmarkSpec):
         self.spec = spec
         self.problem = spec.problem()
-        self.config = spec.config()
+        self.config = spec.config
         self._mono = None
         self._mono_wall = None
         self._states = None
@@ -222,14 +218,20 @@ class ExperimentContext:
     def monolithic(self):
         if self._mono is None:
             t0 = time.perf_counter()
-            self._mono = monolithic_solve(self.problem, supg_on=self.spec.supg_on)
+            self._mono = monolithic_solve(self.problem, supg_on=self.config.supg_on)
             self._mono_wall = time.perf_counter() - t0
         return self._mono
+
+    def run_identity(self) -> dict:
+        """What a state store records of its run; MGD collection needs a match."""
+        return {"level": self.spec.level, "nu": self.spec.nu, "dt": self.problem.dt,
+                "n_steps": self.problem.n_steps, "supg_on": self.config.supg_on}
 
     def state_store(self) -> snapshots.SnapshotStore:
         if self._states is None:
             self._states = snapshots.split_monolithic_snapshots(
                 self.monolithic(), self.problem.decomposition)
+            self._states.meta.update(self.run_identity())
         return self._states
 
     def reference_finals(self) -> tuple[np.ndarray, np.ndarray]:
@@ -242,12 +244,9 @@ class ExperimentContext:
                 cfg = replace(self.config, delta=self.spec.gdra_delta,
                               tol=self.spec.gdra_tol)
                 store = snapshots.collect_gdra(self.problem, cfg)
-            elif source.startswith("mgd"):
-                m = int(source[3:])
+            else:  # "mgd<m>", as ExperimentEntry checked
                 store = snapshots.collect_mgd(self.problem, self.state_store(),
-                                              m, self.config)
-            else:
-                raise InputError(f"unknown adjoint source {source!r}")
+                                              int(source[3:]), self.config)
             self._adjoint_stores[source] = store
         return self._adjoint_stores[source]
 
@@ -278,7 +277,7 @@ class ExperimentContext:
                 psi_mu = self.basis(source, side).truncate(entry.adjoint_modes).Psi
             if psi_u is None and psi_mu is None:
                 continue
-            ops = self.problem.operators(side, self.spec.supg_on)
+            ops = self.problem.operators(side, self.config.supg_on)
             rops = rom.reduce_operators(ops, psi_u if psi_u is not None else psi_mu,
                                         psi_mu, trace_free=dec.trace_free(side))
             if psi_u is not None:
@@ -295,8 +294,8 @@ class ExperimentContext:
                                         keep_trajectories=False)
         ref_1, ref_2 = self.reference_finals()
         # M and K, all the metric reads, do not depend on advection or SUPG
-        errs = relative_errors(self.problem.operators(1, self.spec.supg_on),
-                               self.problem.operators(2, self.spec.supg_on),
+        errs = relative_errors(self.problem.operators(1, self.config.supg_on),
+                               self.problem.operators(2, self.config.supg_on),
                                result.final_1, result.final_2, ref_1, ref_2)
         row = ReportRow(
             label=entry.label,

@@ -19,13 +19,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from obcoupling import bench, coupling, rom, snapshots
 from obcoupling.errors import InputError
+
+DEFAULTS = bench.BenchmarkSpec()  # every experiment flag's default
 
 
 class _Options(dict):
@@ -42,42 +43,45 @@ class _Options(dict):
 
 
 def _add_scenario_args(opts: _Options):
-    opts.add("--level", type=int, default=32,
+    opts.add("--level", type=int, default=DEFAULTS.level,
              help="grid refinement level (cells per side)")
-    opts.add("--nu", type=float, default=1e-5, help="diffusion")
+    opts.add("--nu", type=float, default=DEFAULTS.nu, help="diffusion")
     opts.add("--dt", type=float, default=None,
              help="timestep (default: level-scaled benchmark value)")
     opts.add("--T", type=float, default=None,
              help="final time (default: one revolution)")
     supg = opts.parser.add_mutually_exclusive_group()
-    opts.add("--supg", group=supg, dest="supg", action="store_true", default=True,
+    opts.add("--supg", group=supg, dest="supg", action="store_true",
+             default=DEFAULTS.config.supg_on,
              help="streamline upwind stabilization (default on)")
     opts.add("--no-supg", group=supg, dest="supg", action="store_false")
 
 
 def _add_descent_args(opts: _Options):
-    opts.add("--delta", type=float, default=1e-16,
+    cfg = DEFAULTS.config
+    opts.add("--delta", type=float, default=cfg.delta,
              help="control regularization weight")
-    opts.add("--tol", type=float, default=1e-14,
+    opts.add("--tol", type=float, default=cfg.tol,
              help="objective stopping tolerance")
-    opts.add("--alpha", type=float, default=2.0,
+    opts.add("--alpha", type=float, default=cfg.alpha0,
              help="initial gradient step")
-    opts.add("--max-iters", type=int, default=10000,
+    opts.add("--max-iters", type=int, default=cfg.max_iters,
              help="per-timestep iteration cap")
     opts.add("--no-warm-start", dest="warm_start", action="store_false",
-             default=True, help="start each timestep from a zero control")
+             default=cfg.warm_start, help="start each timestep from a zero control")
 
 
 def _benchmark_spec(args) -> bench.BenchmarkSpec:
-    kwargs = dict(level=args.level, nu=args.nu, dt=args.dt, supg_on=args.supg)
+    kwargs = dict(level=args.level, nu=args.nu, dt=args.dt)
     if args.T is not None:
         kwargs["T"] = args.T
-    for name, key in (("delta", "delta"), ("tol", "tol"), ("alpha", "alpha0"),
-                      ("max_iters", "max_iters"), ("warm_start", "warm_start"),
-                      ("gdra_delta", "gdra_delta"), ("gdra_tol", "gdra_tol")):
-        if hasattr(args, name):
-            kwargs[key] = getattr(args, name)
-    return bench.BenchmarkSpec(**kwargs)
+    if hasattr(args, "gdra_delta"):
+        kwargs.update(gdra_delta=args.gdra_delta, gdra_tol=args.gdra_tol)
+    config = dict(supg_on=args.supg)
+    if hasattr(args, "delta"):
+        config.update(delta=args.delta, tol=args.tol, alpha0=args.alpha,
+                      max_iters=args.max_iters, warm_start=args.warm_start)
+    return bench.BenchmarkSpec(config=coupling.CouplingConfig(**config), **kwargs)
 
 
 def _fail(message: str, code: int = 2) -> int:
@@ -86,7 +90,7 @@ def _fail(message: str, code: int = 2) -> int:
 
 
 def _parse_modes(text: str, what: str) -> int:
-    if not text.isdigit() or int(text) < 1:
+    if not (text.isascii() and text.isdecimal()) or int(text) < 1:
         raise InputError(f"{what} mode count must be a positive integer, got {text!r}")
     return int(text)
 
@@ -105,11 +109,7 @@ def _parse_adjoint_model(text: str):
     source, _, modes_txt = text.rpartition(":")
     if not source:
         raise InputError(f"bad adjoint model {text!r}, expected full or <source>:<modes>")
-    modes = _parse_modes(modes_txt, "adjoint")
-    if source != "state" and source != "gdra" and not (
-            source.startswith("mgd") and source[3:].isdigit()):
-        raise InputError(f"unknown adjoint source {source!r}")
-    return source, modes
+    return source, _parse_modes(modes_txt, "adjoint")
 
 
 def _warn_early_stops(rows) -> None:
@@ -122,39 +122,28 @@ def _warn_early_stops(rows) -> None:
 
 
 def cmd_monolithic(args) -> int:
-    spec = _benchmark_spec(args)
-    problem = spec.problem()
-    traj = bench.monolithic_solve(problem, supg_on=spec.supg_on)
-    store = snapshots.split_monolithic_snapshots(traj, problem.decomposition)
-    store.meta.update({"level": spec.level, "nu": spec.nu, "dt": problem.dt,
-                       "n_steps": problem.n_steps, "supg_on": spec.supg_on})
-    snapshots.write_store(store, args.out)
-    final = traj.data[:, -1]
-    print(f"monolithic: {problem.n_steps} steps, "
-          f"{traj.data.shape[0]} free DOFs, |u(T)|_2 = {np.linalg.norm(final):.6e}")
+    ctx = bench.ExperimentContext(_benchmark_spec(args))
+    snapshots.write_store(ctx.state_store(), args.out)
+    final = ctx.monolithic().data[:, -1]
+    print(f"monolithic: {ctx.problem.n_steps} steps, "
+          f"{final.size} free DOFs, |u(T)|_2 = {np.linalg.norm(final):.6e}")
     print(f"state snapshots written to {args.out}")
     return 0
 
 
 def cmd_collect_adjoint(args) -> int:
-    spec = _benchmark_spec(args)
-    problem = spec.problem()
-    config = spec.config()
+    ctx = bench.ExperimentContext(_benchmark_spec(args))
     if args.method == "gdra":
-        config = replace(config, delta=spec.gdra_delta, tol=spec.gdra_tol)
-        store = snapshots.collect_gdra(problem, config)
+        store = ctx.adjoint_store("gdra")
     else:
         if args.state_store is None:
             return _fail("--method mgd requires --state-store")
         states = snapshots.read_store(args.state_store)
-        run = {"level": spec.level, "nu": spec.nu, "dt": problem.dt,
-               "supg_on": spec.supg_on}
-        for key, value in run.items():
-            if key in states.meta and states.meta[key] != value:
-                return _fail(f"state store {args.state_store} was written "
-                             f"with {key}={states.meta[key]!r}, this run "
-                             f"has {key}={value!r}")
-        store = snapshots.collect_mgd(problem, states, args.m, config)
+        for key, value in ctx.run_identity().items():
+            if states.meta.get(key) != value:  # a missing key fails too
+                return _fail(f"state store {args.state_store} records {key}="
+                             f"{states.meta.get(key)!r}, this run has {key}={value!r}")
+        store = snapshots.collect_mgd(ctx.problem, states, args.m, ctx.config)
     snapshots.write_store(store, args.out)
     print(f"{args.method}: {store.meta['n_pairs']} adjoint pairs written to {args.out}")
     return 0
@@ -269,8 +258,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, _Options]]:
              help="descent iterations per timestep (mgd)")
     opts.add("--state-store", default=None,
              help="state snapshot store directory (mgd)")
-    opts.add("--gdra-delta", type=float, default=1e-14)
-    opts.add("--gdra-tol", type=float, default=1e-12)
+    opts.add("--gdra-delta", type=float, default=DEFAULTS.gdra_delta)
+    opts.add("--gdra-tol", type=float, default=DEFAULTS.gdra_tol)
     opts.add("--out", required=True)
 
     opts = subcommand("pod", cmd_pod,
@@ -290,8 +279,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, _Options]]:
              help="fom or rom:<modes> (applies to both subdomains)")
     opts.add("--adjoint", default="full",
              help="full, state:<modes>, gdra:<modes> or mgd<m>:<modes>")
-    opts.add("--gdra-delta", type=float, default=1e-14)
-    opts.add("--gdra-tol", type=float, default=1e-12)
+    opts.add("--gdra-delta", type=float, default=DEFAULTS.gdra_delta)
+    opts.add("--gdra-tol", type=float, default=DEFAULTS.gdra_tol)
     opts.add("--report", default=None, help="write a one-row CSV here")
     opts.add("--strict", action="store_true",
              help="exit 1 if any timestep fails to converge")

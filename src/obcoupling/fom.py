@@ -45,6 +45,14 @@ class ProblemSpec:
     _operators: dict = field(default_factory=dict, init=False, repr=False,
                              compare=False)
 
+    def __post_init__(self):
+        n_nodes = self.decomposition.parent.n_nodes
+        if np.shape(self.u0) != (n_nodes,):
+            raise InputError(f"u0 has shape {np.shape(self.u0)}, the parent mesh "
+                             f"has {n_nodes} nodes")
+        if not np.isfinite(self.u0).all():
+            raise InputError("u0 holds NaN or infinite values")
+
     def operators(self, side: int, supg_on: bool) -> assembly.OperatorSet:
         """Subdomain ``side``'s operator set, assembled on first use."""
         if (side, supg_on) not in self._operators:

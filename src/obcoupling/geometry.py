@@ -163,10 +163,11 @@ def decompose(mesh: Mesh, interface_x: float) -> Decomposition:
     interior interface nodes stay free on both sides and are the control
     nodes, in ascending y.
     """
-    x0 = float(mesh.coords[0, 0])
-    k_float = (interface_x - x0) / mesh.hx
+    k_float = (interface_x - float(mesh.coords[0, 0])) / mesh.hx
     k = int(round(k_float)) if math.isfinite(k_float) else -1  # nan, inf: off grid
-    if abs(k_float - k) > _GRID_TOL / mesh.hx or not 1 <= k <= mesh.nx - 1:
+    # 1e-12 off its grid line, or a few ulps where coordinates are large
+    if not 1 <= k <= mesh.nx - 1 or abs(interface_x - mesh.coords[k, 0]) > max(
+            _GRID_TOL, 4 * np.spacing(abs(mesh.coords[k, 0]))):
         raise InputError(
             f"interface_x={interface_x} is not an interior grid line of the mesh")
     return Decomposition(parent=mesh, sides=(_subdomain(mesh, 0, k, k),

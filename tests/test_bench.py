@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from obcoupling import assembly, bench, fom, linalg
+from obcoupling import assembly, bench, coupling, fom, linalg
+from obcoupling.errors import InputError
 
 
 def test_initial_condition_features():
@@ -128,7 +129,7 @@ def test_report_csv_is_deterministic(tmp_path):
 
 def test_experiment_context_smoke(tmp_path):
     spec = bench.BenchmarkSpec(level=8, nu=1e-3, dt=5e-2, T=0.5,
-                               delta=1e-12, tol=1e-10)
+                               config=coupling.CouplingConfig(delta=1e-12, tol=1e-10))
     entries = [bench.ExperimentEntry("fom-fom"),
                bench.ExperimentEntry("rs-fa", state_modes=8),
                bench.ExperimentEntry("rom-rom", state_modes=8,
@@ -144,6 +145,23 @@ def test_experiment_context_smoke(tmp_path):
     for row in rows:
         assert row.all_converged
         assert np.isfinite(row.wall_seconds)
+
+
+@pytest.mark.parametrize("source", ["banana", "mgd", "mgd²", "full"])
+def test_experiment_entry_rejects_unknown_adjoint_source(source):
+    with pytest.raises(InputError, match="unknown adjoint source"):
+        bench.ExperimentEntry("x", adjoint_modes=3, adjoint_source=source)
+    for known in ("state", "gdra", "mgd1", "mgd12"):
+        assert bench.ExperimentEntry("x", adjoint_source=known).adjoint_source == known
+
+
+def test_state_store_records_its_run_identity():
+    ctx = bench.ExperimentContext(bench.BenchmarkSpec(level=8, nu=1e-3, dt=5e-2,
+                                                      T=0.3))
+    identity = ctx.run_identity()
+    assert identity == {"level": 8, "nu": 1e-3, "dt": 5e-2, "n_steps": 6,
+                        "supg_on": True}
+    assert {k: ctx.state_store().meta[k] for k in identity} == identity
 
 
 def test_experiment_builds_each_sides_operators_once(monkeypatch):

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from obcoupling import cli, snapshots
+from obcoupling import bench, cli, snapshots
 
 DESK = ["--level", "8", "--nu", "1e-3", "--dt", "5e-2", "--T", "0.3"]
 LOOSE = ["--delta", "1e-12", "--tol", "1e-10"]
@@ -121,6 +121,44 @@ def test_collect_adjoint_mgd_rejects_mismatched_store(tmp_path, capsys, flags,
     assert not (tmp_path / "adj").exists()
 
 
+@pytest.mark.parametrize("flags, drop, field", [
+    (["--level", "8", "--nu", "0.5", "--dt", "5e-2", "--T", "0.3"], "meta.json",
+     "level"),
+    (DESK, "n_steps", "n_steps"),
+])
+def test_collect_adjoint_mgd_rejects_store_without_its_run(tmp_path, capsys,
+                                                           flags, drop, field):
+    # a store that does not record its run cannot be matched to this one: not
+    # one without meta.json (here written with another nu), nor one missing a key
+    ref = tmp_path / "ref"
+    cli.main(["monolithic", *DESK, "--out", str(ref)])
+    meta = ref / "meta.json"
+    if drop == "meta.json":
+        meta.unlink()
+    else:
+        recorded = json.loads(meta.read_text())
+        del recorded[drop]
+        meta.write_text(json.dumps(recorded))
+    capsys.readouterr()
+    assert cli.main(["collect-adjoint", *flags, "--method", "mgd",
+                     "--state-store", str(ref),
+                     "--out", str(tmp_path / "adj")]) == 2
+    assert f"{field}=" in capsys.readouterr().err
+    assert not (tmp_path / "adj").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["monolithic", "--out", "x"],
+    ["collect-adjoint", "--method", "gdra", "--out", "x"],
+    ["couple"],
+    ["report", "--out", "x"],
+])
+def test_flag_defaults_are_the_benchmark_spec(argv):
+    # the experiment flags read their defaults from bench, not from literals
+    parser, _ = cli.build_parser()
+    assert cli._benchmark_spec(parser.parse_args(argv)) == bench.BenchmarkSpec()
+
+
 def test_gradcheck_command(capsys):
     assert cli.main(["gradcheck", "--trials", "2", "--seed", "1"]) == 0
     assert "max relative mismatch" in capsys.readouterr().out
@@ -189,6 +227,7 @@ def test_report_rejects_gdra_settings(tmp_path):
 def test_bad_arguments_exit_2():
     assert cli.main(["couple", "--state", "rom"]) == 2  # missing mode count
     assert cli.main(["couple", "--adjoint", "banana:3"]) == 2
+    assert cli.main(["couple", "--adjoint", "mgd²:5"]) == 2  # isdigit accepts "²"
     assert cli.main(["couple", "--state", "rom:0"]) == 2
     # more modes than the 7 state snapshots of a six-step run
     assert cli.main(["couple", *DESK, "--state", "rom:50"]) == 2
@@ -330,7 +369,8 @@ def test_config_rejects_required_flags(tmp_path, capsys, argv, values, key):
 
 
 @pytest.mark.parametrize("flag, model", [
-    ("--state", "rom:x"), ("--adjoint", "mgd1:abc"), ("--adjoint", "state:-2")])
+    ("--state", "rom:x"), ("--adjoint", "mgd1:abc"), ("--adjoint", "state:-2"),
+    ("--state", "rom:²"), ("--adjoint", "mgd1:²"), ("--adjoint", "state:١")])
 def test_non_numeric_mode_count_exits_2(capsys, flag, model):
     assert cli.main(["couple", flag, model]) == 2
     assert "mode count must be a positive integer" in capsys.readouterr().err

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import oracles
 from obcoupling import assembly, fom
+from obcoupling.errors import InputError
 from obcoupling.geometry import build_mesh, decompose
 
 
@@ -186,3 +187,22 @@ def test_problem_builds_each_sides_operators_once():
     assert dataclasses.replace(prob).operators(1, True) is not ops
     assert dataclasses.replace(prob, dt=0.1).operators(1, True).dt == 0.1
     assert "_operators" not in repr(prob)
+
+
+def test_problem_rejects_u0_that_does_not_fit_its_mesh():
+    # one entry per parent mesh node, or the march silently reads a prefix
+    prob = make_problem(nx=8, ny=8)
+    with pytest.raises(InputError, match="u0 has shape"):
+        dataclasses.replace(prob, u0=np.concatenate([prob.u0, np.zeros(50)]))
+    with pytest.raises(InputError, match="u0 has shape"):
+        dataclasses.replace(prob, u0=prob.u0[:-1])
+
+
+def test_problem_rejects_non_finite_u0():
+    # a NaN initial state would run every step and stop each as non_finite
+    prob = make_problem(nx=8, ny=8)
+    for bad in (np.nan, np.inf):
+        u0 = prob.u0.copy()
+        u0[40] = bad
+        with pytest.raises(InputError, match="NaN or infinite"):
+            dataclasses.replace(prob, u0=u0)

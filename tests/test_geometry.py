@@ -72,6 +72,20 @@ def test_decompose_rejects_off_grid_interface():
     assert dec.sub(1).nx == 2 and dec.sub(2).nx == 3
 
 
+@pytest.mark.parametrize("x_min", [0.0, 10.0, 1e3, 1e6, -1e6])
+def test_decompose_accepts_every_grid_line_far_from_the_origin(x_min):
+    # the grid-line tolerance scales with the coordinates: at 1e6 the doubles
+    # are 1.2e-10 apart, coarser than an absolute 1e-12
+    mesh = build_mesh(10, 10, x_min, x_min + 1.0)
+    for k in range(1, 10):
+        x_cut = mesh.coords[k, 0]
+        dec = decompose(mesh, x_cut)
+        assert dec.sub(1).nx == k and dec.sub(2).nx == 10 - k
+        assert dec.sub(1).coords[k, 0] == x_cut == dec.sub(2).coords[0, 0]
+        with pytest.raises(InputError, match="not an interior grid line"):
+            decompose(mesh, x_cut + 0.25 * mesh.hx)  # a quarter cell off
+
+
 def test_decompose_subdomain_coords_bitwise():
     mesh = build_mesh(6, 4)
     dec = decompose(mesh, 0.5)
