@@ -231,12 +231,20 @@ def assemble_operators(mesh: Mesh, dirichlet_nodes: np.ndarray, *, nu: float,
     """Assemble all volume operators, restricted to the free DOFs.
 
     ``dirichlet_nodes`` lists the strongly constrained (zero) nodes; their
-    rows and columns are eliminated.
+    rows and columns are eliminated. Settings whose coefficients overflow
+    (1/dt, the SUPG tau, or the advection field) raise InputError.
     """
     if not (math.isfinite(nu) and math.isfinite(dt)) or nu < 0 or dt <= 0:
         raise InputError(f"need finite nu >= 0 and dt > 0, got nu={nu}, dt={dt}")
     dirichlet_nodes = np.asarray(dirichlet_nodes, dtype=np.int64)
-    M, K, A, S = _assemble_volume(mesh, advection, nu, dt, supg_on)
+    if not math.isfinite(1.0 / dt):
+        raise InputError(f"dt={dt} is too small: 1/dt overflows")
+    try:
+        with np.errstate(over="raise"):
+            M, K, A, S = _assemble_volume(mesh, advection, nu, dt, supg_on)
+    except (OverflowError, FloatingPointError) as exc:
+        raise InputError(f"operator coefficients overflow at nu={nu}, dt={dt}: "
+                         f"{exc}") from exc
 
     free, _ = free_arrays(mesh.n_nodes, dirichlet_nodes)
 

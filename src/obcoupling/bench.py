@@ -196,6 +196,8 @@ class ExperimentContext:
 
     Builds the monolithic reference, the state snapshot split, and any
     requested basis lazily, caching each so repeated entries reuse them.
+    The reference trajectory is dropped once it is split into the state
+    store, so one copy of it stays in memory; its wall time is kept.
     Full-order sides, reductions and the error metric all use the problem's
     operators (``ProblemSpec.operators``), built once per experiment.
     """
@@ -212,10 +214,13 @@ class ExperimentContext:
 
     @property
     def mono_wall(self) -> float:
-        self.monolithic()
+        """Wall time of the one monolithic solve."""
+        if self._mono_wall is None:
+            self.monolithic()
         return self._mono_wall
 
     def monolithic(self):
+        """The reference trajectory; ``state_store`` drops it once split."""
         if self._mono is None:
             t0 = time.perf_counter()
             self._mono = monolithic_solve(self.problem, supg_on=self.config.supg_on)
@@ -232,6 +237,7 @@ class ExperimentContext:
             self._states = snapshots.split_monolithic_snapshots(
                 self.monolithic(), self.problem.decomposition)
             self._states.meta.update(self.run_identity())
+            self._mono = None
         return self._states
 
     def reference_finals(self) -> tuple[np.ndarray, np.ndarray]:

@@ -27,6 +27,9 @@ from obcoupling import bench, coupling, rom, snapshots
 from obcoupling.errors import InputError
 
 DEFAULTS = bench.BenchmarkSpec()  # every experiment flag's default
+# defaults of the flags that only some runs of a subcommand read
+ONLY_SOME_RUNS = {"m": 1, "state_store": None, "gdra_delta": DEFAULTS.gdra_delta,
+                  "gdra_tol": DEFAULTS.gdra_tol}
 
 
 class _Options(dict):
@@ -71,6 +74,13 @@ def _add_descent_args(opts: _Options):
              default=cfg.warm_start, help="start each timestep from a zero control")
 
 
+def _add_gdra_args(opts: _Options, reader: str):
+    opts.add("--gdra-delta", type=float, default=ONLY_SOME_RUNS["gdra_delta"],
+             help=f"control regularization of the GDRA collection ({reader} only)")
+    opts.add("--gdra-tol", type=float, default=ONLY_SOME_RUNS["gdra_tol"],
+             help=f"descent tolerance of the GDRA collection ({reader} only)")
+
+
 def _benchmark_spec(args) -> bench.BenchmarkSpec:
     kwargs = dict(level=args.level, nu=args.nu, dt=args.dt)
     if args.T is not None:
@@ -82,6 +92,14 @@ def _benchmark_spec(args) -> bench.BenchmarkSpec:
         config.update(delta=args.delta, tol=args.tol, alpha0=args.alpha,
                       max_iters=args.max_iters, warm_start=args.warm_start)
     return bench.BenchmarkSpec(config=coupling.CouplingConfig(**config), **kwargs)
+
+
+def _reject_unread(args, dests: tuple[str, ...], reader: str) -> None:
+    """InputError for a flag among ``dests`` that is set, on the command line
+    or in a config file, to other than its default: only ``reader`` reads it."""
+    for dest in dests:
+        if getattr(args, dest) != ONLY_SOME_RUNS[dest]:
+            raise InputError(f"--{dest.replace('_', '-')} is read only by {reader}")
 
 
 def _fail(message: str, code: int = 2) -> int:
@@ -123,21 +141,25 @@ def _warn_early_stops(rows) -> None:
 
 def cmd_monolithic(args) -> int:
     ctx = bench.ExperimentContext(_benchmark_spec(args))
+    final = ctx.monolithic().data[:, -1]  # read before the split drops it
+    n_free, norm = final.size, np.linalg.norm(final)
+    del final
     snapshots.write_store(ctx.state_store(), args.out)
-    final = ctx.monolithic().data[:, -1]
     print(f"monolithic: {ctx.problem.n_steps} steps, "
-          f"{final.size} free DOFs, |u(T)|_2 = {np.linalg.norm(final):.6e}")
+          f"{n_free} free DOFs, |u(T)|_2 = {norm:.6e}")
     print(f"state snapshots written to {args.out}")
     return 0
 
 
 def cmd_collect_adjoint(args) -> int:
-    ctx = bench.ExperimentContext(_benchmark_spec(args))
     if args.method == "gdra":
-        store = ctx.adjoint_store("gdra")
+        _reject_unread(args, ("m", "state_store"), "--method mgd")
+        store = bench.ExperimentContext(_benchmark_spec(args)).adjoint_store("gdra")
     else:
+        _reject_unread(args, ("gdra_delta", "gdra_tol"), "--method gdra")
         if args.state_store is None:
             return _fail("--method mgd requires --state-store")
+        ctx = bench.ExperimentContext(_benchmark_spec(args))
         states = snapshots.read_store(args.state_store)
         for key, value in ctx.run_identity().items():
             if states.meta.get(key) != value:  # a missing key fails too
@@ -175,6 +197,8 @@ def cmd_pod(args) -> int:
 def cmd_couple(args) -> int:
     state_modes = _parse_state_model(args.state)
     adjoint_source, adjoint_modes = _parse_adjoint_model(args.adjoint)
+    if adjoint_source != "gdra":
+        _reject_unread(args, ("gdra_delta", "gdra_tol"), "a gdra:<modes> adjoint")
     spec = _benchmark_spec(args)
     entry = bench.ExperimentEntry(
         label=f"{args.state}/{args.adjoint}", state_modes=state_modes,
@@ -254,12 +278,11 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, _Options]]:
     _add_scenario_args(opts)
     _add_descent_args(opts)
     opts.add("--method", choices=("gdra", "mgd"), required=True)
-    opts.add("--m", type=int, default=1,
+    opts.add("--m", type=int, default=ONLY_SOME_RUNS["m"],
              help="descent iterations per timestep (mgd)")
-    opts.add("--state-store", default=None,
+    opts.add("--state-store", default=ONLY_SOME_RUNS["state_store"],
              help="state snapshot store directory (mgd)")
-    opts.add("--gdra-delta", type=float, default=DEFAULTS.gdra_delta)
-    opts.add("--gdra-tol", type=float, default=DEFAULTS.gdra_tol)
+    _add_gdra_args(opts, "--method gdra")
     opts.add("--out", required=True)
 
     opts = subcommand("pod", cmd_pod,
@@ -279,8 +302,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, _Options]]:
              help="fom or rom:<modes> (applies to both subdomains)")
     opts.add("--adjoint", default="full",
              help="full, state:<modes>, gdra:<modes> or mgd<m>:<modes>")
-    opts.add("--gdra-delta", type=float, default=DEFAULTS.gdra_delta)
-    opts.add("--gdra-tol", type=float, default=DEFAULTS.gdra_tol)
+    _add_gdra_args(opts, "a gdra:<modes> adjoint")
     opts.add("--report", default=None, help="write a one-row CSV here")
     opts.add("--strict", action="store_true",
              help="exit 1 if any timestep fails to converge")

@@ -27,15 +27,21 @@ jump into snapshot columns. An InterfaceResponse holds a side's state
 half. Cost model: one TraceResponse per model (a multi-column sparse solve
 cached with ``problem.operators`` and shared with MGD collection and later
 runs, or dense solves in ``rom.reduce_operators``) and no solve to set up a
-run; per timestep, a few n_control x n matvecs for j0 and one sparse (or
-reduced) state solve per side at the accepted control. A descent trial
-makes 3 n_control x n_control gemv (R g, M_g jump, M_g g), 2 dot products
-and 4 vector ufuncs into fixed n_control buffers, and allocates nothing;
-with delta = 0 it skips one gemv and one dot.
+run; per timestep, two n_control x n matvecs for j0 (two more with a load),
+subtracted in place, and one sparse (or reduced) state solve per side at the
+accepted control, its signed interface term added in place. The run carries
+R g and g (M_g g) of the accepted control across steps and recomputes them
+(2 gemv and a dot) only after a descent that moved g. A step whose warm
+start already meets tol prices J with one add, one gemv and one dot, and
+returns before the descent allocates anything else. A descent trial makes
+3 n_control x n_control gemv (R g, M_g jump, M_g g), 2 dot products and
+4 vector ufuncs into fixed n_control buffers, and allocates nothing; with
+delta = 0 it skips one gemv and one dot, and the run carries no penalty.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass
@@ -80,7 +86,7 @@ class Control:
     dt: float
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class IterationStats:
     """Per-timestep record of the interface minimization."""
 
@@ -141,7 +147,10 @@ class InterfaceResponse:
     (reduced), and ``response`` its trace response. States are held in the
     state model's coordinates: free-DOF values or reduced coefficients.
     ``load(n)`` gives the side's free-DOF load at timestep n, projected onto
-    Psi_u on a reduced side.
+    Psi_u on a reduced side. ``step(u_prev, g, f)`` gives the state at
+    control g after u_prev, the side's one solve per timestep; its function
+    is looked up when the side is built, so a run sees the module names as
+    they are when it starts.
     """
 
     def __init__(self, side: int, state, trace_free: np.ndarray, load=None):
@@ -151,6 +160,9 @@ class InterfaceResponse:
         self._reduced_state = isinstance(state, rom.ReducedOperatorSet)
         self.response = (state.response if self._reduced_state
                          else state.trace_response(trace_free))
+        self.step = functools.partial(
+            rom.rom_state_step if self._reduced_state else state_step, state,
+            side=side)
 
     def from_free(self, u_free: np.ndarray) -> np.ndarray:
         """State-model coordinates of a free-DOF vector: Psi_u^T v if reduced."""
@@ -165,15 +177,11 @@ class InterfaceResponse:
         """The side's load at timestep n in state-model coordinates."""
         return None if self._load is None else self.from_free(self._load(n))
 
-    def step(self, u_prev: np.ndarray, g: np.ndarray, f) -> np.ndarray:
-        """State at control g after u_prev: the side's one solve per timestep."""
-        step = rom.rom_state_step if self._reduced_state else state_step
-        return step(self._state, u_prev, g, f, self.side)
-
 
 def descent_timestep(j0: np.ndarray, R: np.ndarray, G: np.ndarray, g0: np.ndarray,
                      config: CouplingConfig, M_g, *, recorder=None,
-                     step_index: int = 0):
+                     step_index: int = 0, Rg: np.ndarray | None = None,
+                     penalty: float | None = None):
     """Minimize the interface objective for one timestep in interface space.
 
     The jump at control g is j0 + R g and the adjoint trace difference of a
@@ -182,33 +190,47 @@ def descent_timestep(j0: np.ndarray, R: np.ndarray, G: np.ndarray, g0: np.ndarra
     rejected: the step halves and the same direction is retried; directions
     are recomputed only after accepts. An accepted trial that leaves g
     bitwise unchanged ends the step unconverged, since no later trial can
-    move it. A step whose starting J is not finite makes no trial.
+    move it. A step whose starting J is not finite, or already below tol,
+    makes no trial and returns g0 itself, as a float64 array.
     ``recorder(step_index, jump)`` is invoked for every direction with the
     control-ordered jump it was formed from; the array is valid only during
-    the call. ``M_g`` is the dense control mass matrix.
+    the call. ``M_g`` is the dense control mass matrix. ``Rg`` and
+    ``penalty``, when given, must be R @ g0 and g0 @ (M_g @ g0) as computed
+    by those expressions; they stand in for the descent's own products.
     """
     t_start = time.perf_counter()
     delta, tol = config.delta, config.tol
-    alpha = config.alpha0
 
-    g = np.array(g0, dtype=np.float64)
-    jump = j0 + R @ g
-    obj = _objective_from_jump(jump, g, delta, M_g)
+    g = np.ascontiguousarray(g0, dtype=np.float64)
+    jump = j0 + (R.dot(g) if Rg is None else Rg)
+    # the products and their order are those of _objective_from_jump; the
+    # ndarray.dot method makes the same BLAS calls as @, with less overhead
+    obj = 0.5 * float(jump.dot(M_g.dot(jump)))
+    if delta != 0.0:
+        obj += 0.5 * delta * (float(g.dot(M_g.dot(g))) if penalty is None else penalty)
+    accepted = [obj] if config.record_history else None
+    if not (math.isfinite(obj) and obj >= tol):
+        converged = math.isfinite(obj)
+        # positional: the fields in order, step to accepted_objectives
+        return g, IterationStats(step_index, 0, 0, 0, obj, converged,
+                                 time.perf_counter() - t_start,
+                                 "tol" if converged else "non_finite", accepted)
 
     # Trials write into fixed buffers, and an accept swaps g with g_try. A
     # trial overwrites jump, which is read only to form a direction right
     # after an accept. The products and their order are those of
     # _objective_from_jump, so a trial's J equals it bit for bit.
+    g = g.copy()
     g_try, trace_diff, step, tmp = (np.empty_like(g) for _ in range(4))
+    alpha = config.alpha0
 
     iterations = 0
     directions = 0
     reductions = 0
-    accepted = [obj] if config.record_history else None
     fresh = False  # trace_diff holds the direction of the current g
-    stop = None if math.isfinite(obj) else "non_finite"
+    stop = None
 
-    while stop is None and obj >= tol and iterations < config.max_iters:
+    while obj >= tol and iterations < config.max_iters:
         if not fresh:
             G.dot(jump, trace_diff)
             fresh = True
@@ -324,38 +346,63 @@ def run_transient(problem: ProblemSpec, config: CouplingConfig, *,
     # both sides share the same interface mass matrix
     M_g = assembly.assemble_interface_mass(dec, 1)[1].toarray()
 
-    u = [s.from_free(problem.u0[dec.node_map(s.side)[dec.free_nodes(s.side)]])
-         for s in sides]
+    u_1, u_2 = (s.from_free(problem.u0[dec.node_map(s.side)[dec.free_nodes(s.side)]])
+                for s in sides)
     n_control = dec.n_control
-    controls = np.zeros((n_control, n_steps + 1))
+    controls = np.zeros((n_control, n_steps + 1), order="F")
     stats: list[IterationStats] = []
 
     traj_1 = traj_2 = None
     if keep_trajectories:
         traj_1 = np.empty((dec.free_nodes(1).size, n_steps + 1), order="F")
         traj_2 = np.empty((dec.free_nodes(2).size, n_steps + 1), order="F")
-        traj_1[:, 0] = first.to_free(u[0])
-        traj_2[:, 0] = second.to_free(u[1])
+        traj_1[:, 0] = first.to_free(u_1)
+        traj_2[:, 0] = second.to_free(u_2)
 
-    g = np.zeros(n_control)
+    # Names are bound here, once per run, so a run sees them as patched
+    # before it starts. R g and g (M_g g) of the accepted control are
+    # recomputed only when a descent returns a new array: one that makes no
+    # trial returns the control it was given.
+    descent = descent_timestep
+    step_1, step_2 = first.step, second.step
+    P_1, WT_1 = first.response.P, first.response.WT
+    P_2, WT_2 = second.response.P, second.response.WT
+    has_load = problem.f is not None
+    f_1 = f_2 = None
+    warm_start, penalised = config.warm_start, config.delta != 0.0
+    g_start = np.zeros(n_control)
+    Rg = R.dot(g_start)
+    penalty = float(g_start.dot(M_g.dot(g_start))) if penalised else None
+    j0, trace_2 = np.empty(n_control), np.empty(n_control)
     for n in range(1, n_steps + 1):
-        f = [s.load(n) for s in sides]
-        j0 = (first.response.zero_control_trace(u[0], f[0])
-              - second.response.zero_control_trace(u[1], f[1]))
-        g0 = g if config.warm_start else np.zeros(n_control)
-        g, st = descent_timestep(j0, R, G, g0, config, M_g,
-                                 recorder=recorder, step_index=n)
-        u = [s.step(u_i, g, f_i) for s, u_i, f_i in zip(sides, u, f)]
+        if has_load:
+            f_1, f_2 = first.load(n), second.load(n)
+        # j0 = (P_1 u_1 + W_1^T f_1) - (P_2 u_2 + W_2^T f_2), in place
+        np.dot(P_1, u_1, out=j0)
+        np.dot(P_2, u_2, out=trace_2)
+        if has_load:
+            j0 += WT_1 @ f_1
+            trace_2 += WT_2 @ f_2
+        j0 -= trace_2
+        g, st = descent(j0, R, G, g_start, config, M_g, recorder=recorder,
+                        step_index=n, Rg=Rg, penalty=penalty)
+        if warm_start and g is not g_start:
+            g_start = g
+            Rg = R.dot(g)
+            if penalised:
+                penalty = float(g.dot(M_g.dot(g)))
+        u_1 = step_1(u_1, g, f_1)
+        u_2 = step_2(u_2, g, f_2)
         controls[:, n] = g
         stats.append(st)
         if keep_trajectories:
-            traj_1[:, n] = first.to_free(u[0])
-            traj_2[:, n] = second.to_free(u[1])
+            traj_1[:, n] = first.to_free(u_1)
+            traj_2[:, n] = second.to_free(u_2)
     wall = time.perf_counter() - t_start
 
     return CoupledRunResult(
         control=Control(values=controls, dt=problem.dt), stats=stats,
-        final_1=first.to_free(u[0]), final_2=second.to_free(u[1]),
+        final_1=first.to_free(u_1), final_2=second.to_free(u_2),
         traj_1=traj_1, traj_2=traj_2, wall_time=wall)
 
 

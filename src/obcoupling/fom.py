@@ -127,8 +127,9 @@ def state_step(ops: assembly.OperatorSet, u_prev: np.ndarray, g: np.ndarray,
     rhs /= ops.dt
     if f_free is not None:
         rhs += f_free
-    if g is not None:
-        rhs += sign_of(side) * (ops.M_g0 @ g)
+    if g is not None:  # rhs += sign * (M_g0 g), with the sign exact
+        add = np.subtract if sign_of(side) < 0 else np.add
+        add(rhs, ops.M_g0 @ g, out=rhs)
     return ops.state_factor().solve(rhs)
 
 

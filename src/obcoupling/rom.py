@@ -190,12 +190,13 @@ def rom_state_step(rops: ReducedOperatorSet, uhat_prev: np.ndarray,
     LAPACK's getrs on the stored factors, the routine ``lu_solve`` wraps; a
     right-hand side holding NaN or infinity raises ValueError as there.
     """
-    rhs = rops.Mh @ uhat_prev
+    rhs = rops.Mh.dot(uhat_prev)  # the BLAS call of @, with less overhead
     rhs /= rops.dt
     if f_hat is not None:
         rhs += f_hat
-    if g is not None:
-        rhs += sign_of(side) * (rops.PsiT_Mg0 @ g)
+    if g is not None:  # rhs += sign * (PsiT_Mg0 g), with the sign exact
+        add = np.subtract if sign_of(side) < 0 else np.add
+        add(rhs, rops.PsiT_Mg0.dot(g), out=rhs)
     if not np.isfinite(rhs).all():
         raise ValueError("reduced state step: right-hand side holds NaN or infinity")
     lu, piv = rops.state_lu

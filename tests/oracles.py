@@ -8,16 +8,25 @@ No code is shared with the package's vectorized assembly.
 ``descent_timestep`` is the interface-space descent written the plain way:
 it allocates every trial's vectors and prices each one with
 ``_objective_from_jump``. The package's loop, which works in fixed buffers,
-must reproduce it bit for bit.
+must reproduce it bit for bit. ``run_transient`` is the coupled march
+written the same way: it forms j0 from two zero-control traces, starts each
+descent afresh, and steps each side with a ``sign * (B g)`` temporary. The
+package's march, which carries R g and the penalty across steps and works in
+place, must reproduce it bit for bit.
 """
 
 import math
 import time
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse as sp
 
-from obcoupling.coupling import CouplingConfig, IterationStats, _objective_from_jump
+from obcoupling import assembly, rom
+from obcoupling.coupling import (Control, CoupledRunResult, CouplingConfig,
+                                 IterationStats, _objective_from_jump,
+                                 interface_maps, make_loads)
+from obcoupling.fom import ProblemSpec, sign_of
 
 _G3 = np.sqrt(3.0 / 5.0)
 GAUSS_1D = [(-_G3, 5.0 / 9.0), (0.0, 8.0 / 9.0), (_G3, 5.0 / 9.0)]
@@ -234,7 +243,7 @@ def backward_euler_dense(M, K, A, free, nu, dt, u0_full, n_steps, S=None):
 
 def descent_timestep(j0: np.ndarray, R: np.ndarray, G: np.ndarray, g0: np.ndarray,
                      config: CouplingConfig, M_g, *, recorder=None,
-                     step_index: int = 0):
+                     step_index: int = 0, Rg=None, penalty=None):
     """Minimize the interface objective for one timestep in interface space.
 
     The jump at control g is j0 + R g and the adjoint trace difference of a
@@ -246,7 +255,8 @@ def descent_timestep(j0: np.ndarray, R: np.ndarray, G: np.ndarray, g0: np.ndarra
     move it. A step whose starting J is not finite makes no trial.
     ``recorder(step_index, jump)`` is invoked for every direction with the
     control-ordered jump it was formed from; the array is valid only during
-    the call.
+    the call. ``Rg`` and ``penalty``, which the package's march passes,
+    are ignored: this descent forms its own products.
     """
     t_start = time.perf_counter()
     delta, tol = config.delta, config.tol
@@ -297,3 +307,102 @@ def descent_timestep(j0: np.ndarray, R: np.ndarray, G: np.ndarray, g0: np.ndarra
         wall_time=time.perf_counter() - t_start, stop_reason=stop,
         accepted_objectives=accepted)
     return g, stats
+
+
+class AllocatingSide:
+    """One side's state half, stepped with fresh temporaries throughout."""
+
+    def __init__(self, side: int, state, trace_free: np.ndarray, load=None):
+        self.side = side
+        self._state = state
+        self._load = load
+        self._reduced_state = isinstance(state, rom.ReducedOperatorSet)
+        self.response = (state.response if self._reduced_state
+                         else state.trace_response(trace_free))
+
+    def from_free(self, u_free: np.ndarray) -> np.ndarray:
+        if self._reduced_state:
+            return self._state.Psi_u.T @ u_free
+        return np.array(u_free, dtype=np.float64)
+
+    def to_free(self, u: np.ndarray) -> np.ndarray:
+        return self._state.lift(u) if self._reduced_state else u
+
+    def load(self, n: int):
+        return None if self._load is None else self.from_free(self._load(n))
+
+    def step(self, u_prev: np.ndarray, g: np.ndarray, f) -> np.ndarray:
+        state = self._state
+        if self._reduced_state:
+            rhs = state.Mh @ u_prev
+            rhs /= state.dt
+            if f is not None:
+                rhs += f
+            rhs += sign_of(self.side) * (state.PsiT_Mg0 @ g)
+            return scipy.linalg.lu_solve(state.state_lu, rhs)
+        rhs = state.M @ u_prev
+        rhs /= state.dt
+        if f is not None:
+            rhs += f
+        rhs += sign_of(self.side) * (state.M_g0 @ g)
+        return state.state_factor().solve(rhs)
+
+
+def run_transient(problem: ProblemSpec, config: CouplingConfig, *,
+                  state_rops=(None, None), adjoint_rops=(None, None),
+                  recorder=None, keep_trajectories: bool = True) -> CoupledRunResult:
+    """March the coupled problem from 0 to T, as ``coupling.run_transient``
+    does, with every step's descent started afresh."""
+    dec = problem.decomposition
+    n_steps = problem.n_steps
+
+    ops = [problem.operators(side, config.supg_on)
+           if state_rops[side - 1] is None or adjoint_rops[side - 1] is None
+           else None for side in (1, 2)]
+
+    t_start = time.perf_counter()
+    sides, adjoints = [], []
+    for side in (1, 2):
+        srops, arops, op = state_rops[side - 1], adjoint_rops[side - 1], ops[side - 1]
+        tf = dec.trace_free(side)
+        sides.append(AllocatingSide(side, op if srops is None else srops, tf,
+                                    load=make_loads(problem, dec, side)))
+        adjoints.append(op.trace_response(tf) if arops is None else arops.response)
+    first, second = sides
+    R, G = interface_maps((first.response, second.response), adjoints)
+    # both sides share the same interface mass matrix
+    M_g = assembly.assemble_interface_mass(dec, 1)[1].toarray()
+
+    u = [s.from_free(problem.u0[dec.node_map(s.side)[dec.free_nodes(s.side)]])
+         for s in sides]
+    n_control = dec.n_control
+    controls = np.zeros((n_control, n_steps + 1))
+    stats: list[IterationStats] = []
+
+    traj_1 = traj_2 = None
+    if keep_trajectories:
+        traj_1 = np.empty((dec.free_nodes(1).size, n_steps + 1), order="F")
+        traj_2 = np.empty((dec.free_nodes(2).size, n_steps + 1), order="F")
+        traj_1[:, 0] = first.to_free(u[0])
+        traj_2[:, 0] = second.to_free(u[1])
+
+    g = np.zeros(n_control)
+    for n in range(1, n_steps + 1):
+        f = [s.load(n) for s in sides]
+        j0 = (first.response.zero_control_trace(u[0], f[0])
+              - second.response.zero_control_trace(u[1], f[1]))
+        g0 = g if config.warm_start else np.zeros(n_control)
+        g, st = descent_timestep(j0, R, G, g0, config, M_g,
+                                 recorder=recorder, step_index=n)
+        u = [s.step(u_i, g, f_i) for s, u_i, f_i in zip(sides, u, f)]
+        controls[:, n] = g
+        stats.append(st)
+        if keep_trajectories:
+            traj_1[:, n] = first.to_free(u[0])
+            traj_2[:, n] = second.to_free(u[1])
+    wall = time.perf_counter() - t_start
+
+    return CoupledRunResult(
+        control=Control(values=controls, dt=problem.dt), stats=stats,
+        final_1=first.to_free(u[0]), final_2=second.to_free(u[1]),
+        traj_1=traj_1, traj_2=traj_2, wall_time=wall)

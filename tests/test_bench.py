@@ -177,3 +177,21 @@ def test_experiment_builds_each_sides_operators_once(monkeypatch):
     bench.run_experiment(bench.BenchmarkSpec(level=16, T=2.0),
                          bench.standard_entries())
     assert calls == {"subdomain_operators": 2, "factorize": 3}
+
+
+def test_context_keeps_one_copy_of_the_reference(monkeypatch):
+    # the split store replaces the trajectory, and the wall time outlives it
+    solves = []
+    solve = bench.monolithic_solve
+
+    def counting(*args, **kwargs):
+        solves.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(bench, "monolithic_solve", counting)
+    ctx = bench.ExperimentContext(bench.BenchmarkSpec(level=8, nu=1e-3, dt=5e-2,
+                                                      T=0.3))
+    wall = ctx.mono_wall
+    store = ctx.state_store()
+    assert ctx._mono is None and ctx.mono_wall == wall > 0.0
+    assert store["state_1"].data.shape[1] == 7 and len(solves) == 1

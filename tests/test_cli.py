@@ -224,7 +224,7 @@ def test_report_rejects_gdra_settings(tmp_path):
     assert not (tmp_path / "rep").exists()
 
 
-def test_bad_arguments_exit_2():
+def test_bad_arguments_exit_2(tmp_path):
     assert cli.main(["couple", "--state", "rom"]) == 2  # missing mode count
     assert cli.main(["couple", "--adjoint", "banana:3"]) == 2
     assert cli.main(["couple", "--adjoint", "mgd²:5"]) == 2  # isdigit accepts "²"
@@ -234,6 +234,40 @@ def test_bad_arguments_exit_2():
     with pytest.raises(SystemExit) as exc:
         cli.main(["nonsense"])
     assert exc.value.code == 2
+    # a flag the run never reads is rejected, from the command line or a
+    # config file, before anything runs or is written
+    assert cli.main(["monolithic", *DESK, "--out", str(tmp_path / "ref")]) == 0
+    gdra = ["collect-adjoint", *DESK, "--method", "gdra", "--out", str(tmp_path / "g")]
+    mgd = ["collect-adjoint", *DESK, "--method", "mgd", "--state-store",
+           str(tmp_path / "ref"), "--out", str(tmp_path / "m")]
+    mgd1 = ["couple", *DESK, "--adjoint", "mgd1:5"]
+    for argv, config in [
+            ([*gdra, "--m", "7", "--state-store", "/nonexistent"], None),
+            ([*gdra, "--m", "7"], None),
+            ([*gdra, "--state-store", str(tmp_path)], None),
+            (gdra, {"m": 2}),
+            ([*mgd, "--gdra-tol", "5"], None),
+            (mgd, {"gdra_delta": 1e-10}),
+            ([*mgd1, "--gdra-tol", "5"], None),
+            ([*mgd1, "--gdra-delta", "1e-10"], None),
+            (["couple", *DESK, "--gdra-tol", "1e-8"], None),
+            (["couple", *DESK, "--adjoint", "state:3"], {"gdra_tol": 5}),
+    ]:
+        if config is not None:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(config))
+            argv = [*argv, "--config", str(cfg)]
+        assert cli.main(argv) == 2, argv
+    assert not any(p.name in ("g", "m") for p in tmp_path.iterdir())
+
+
+def test_flags_left_at_their_defaults_are_not_errors(tmp_path, capsys):
+    # only a value the run would ignore is an error, not the flag itself
+    assert cli.main(["couple", *DESK, *LOOSE, "--gdra-tol",
+                     str(bench.BenchmarkSpec().gdra_tol)]) == 0
+    assert cli.main(["collect-adjoint", *DESK, *LOOSE, "--method", "gdra",
+                     "--m", "1", "--out", str(tmp_path / "g")]) == 0
+    assert "gdra: " in capsys.readouterr().out
 
 
 def test_config_defaults_and_override(tmp_path, capsys):
@@ -301,6 +335,9 @@ def test_config_placement_before_subcommand(tmp_path):
     (["gradcheck", "--eps", "inf"], "eps=inf must be finite and positive"),
     (["gradcheck", "--eps", "0"], "eps=0.0 must be finite and positive"),
     (["gradcheck", "--delta", "nan"], "delta=nan must be finite and nonnegative"),
+    # the SUPG tau squares 2/dt, which overflows though dt and T are finite
+    (["couple", "--level", "8", "--dt", "1e-300", "--T", "1e-299"],
+     "operator coefficients overflow"),
 ])
 def test_library_value_errors_exit_2(tmp_path, capsys, argv, message):
     argv = [arg.format(tmp=tmp_path) for arg in argv]

@@ -353,6 +353,76 @@ def test_transient_runs_match_the_oracle_descent_bitwise(monkeypatch):
         assert got[name] == record(coupling.run_transient(prob, cfg, **kw)), name
 
 
+@pytest.fixture(scope="module")
+def desk_reduced_models():
+    """A 20-step level-8 desk problem and a 12-mode reduced model per side."""
+    prob = desk_problem(n_steps=20)
+    store = snapshots.split_monolithic_snapshots(
+        fom.monolithic_solve(prob, supg_on=True), prob.decomposition)
+    rops = tuple(rom.reduce_operators(
+        prob.operators(side, True),
+        rom.full_pod(store[f"state_{side}"]).truncate(12).Psi,
+        trace_free=prob.decomposition.trace_free(side)) for side in (1, 2))
+    return prob, rops
+
+
+def march_record(march, prob, cfg, halves):
+    """Bytes of everything a march reports but wall times: controls, finals,
+    trajectories, every IterationStats field and every recorded jump."""
+    jumps = []
+    res = march(prob, cfg, **halves,
+                recorder=lambda n, jump: jumps.append((n, jump.tobytes())))
+    stats = []
+    for s in res.stats:
+        fields = dataclasses.asdict(s)
+        del fields["wall_time"]
+        fields["objective"] = np.float64(s.objective).tobytes()
+        if s.accepted_objectives is not None:
+            fields["accepted_objectives"] = np.array(s.accepted_objectives).tobytes()
+        stats.append(fields)
+    arrays = (res.control.values, res.final_1, res.final_2, res.traj_1, res.traj_2)
+    return [a.tobytes() for a in arrays], stats, jumps
+
+
+@pytest.mark.parametrize("halves", ["fom-fom", "rom-rom", "mixed"])
+@pytest.mark.parametrize("variant", ["paper", "loose", "load", "cold",
+                                     "history-delta0", "non-finite"])
+def test_lean_march_matches_the_oracle_march_bitwise(desk_reduced_models, halves,
+                                                     variant):
+    # the march carries R g and the penalty across steps, skips the descent's
+    # set-up when the warm start meets tol and steps in place; it must make
+    # every decision of the plain march and return the same bits
+    prob, rops = desk_reduced_models
+    kw = {"fom-fom": {}, "rom-rom": {"state_rops": rops, "adjoint_rops": rops},
+          "mixed": {"state_rops": (rops[0], None),
+                    "adjoint_rops": (None, rops[1])}}[halves]
+    # at tol 1e-3 some steps start below tol and the rest need trials
+    cfg = dict(supg_on=True, max_iters=500, delta=1e-8, tol=1e-3)
+    if variant == "paper":
+        cfg.update(delta=1e-16, tol=1e-14)
+    elif variant == "load":
+        prob = dataclasses.replace(
+            prob, f=lambda x, y, t: np.sin(3.0 * x + t) * np.cos(2.0 * y))
+    elif variant == "cold":
+        cfg.update(warm_start=False)
+    elif variant == "history-delta0":
+        cfg.update(delta=0.0, record_history=True)
+    elif variant == "non-finite":
+        # J overflows at every step while the states stay finite
+        prob = dataclasses.replace(prob, u0=1e200 * prob.u0)
+    cfg = coupling.CouplingConfig(**cfg)
+    with np.errstate(over="ignore"):
+        got = march_record(coupling.run_transient, prob, cfg, kw)
+        want = march_record(oracles.run_transient, prob, cfg, kw)
+    assert got == want
+    iterations = [s["iterations"] for s in got[1]]
+    if variant == "non-finite":
+        assert {s["stop_reason"] for s in got[1]} == {"non_finite"}
+    elif variant not in ("paper", "cold"):
+        # both kinds of step occur: early returns and descents with trials
+        assert min(iterations) == 0 and len(got[2]) > 0
+
+
 def test_transient_fom_vs_monolithic_short():
     prob = desk_problem(n_steps=6)
     cfg = coupling.CouplingConfig(delta=1e-16, tol=1e-14, supg_on=True)
