@@ -29,7 +29,9 @@ from obcoupling.errors import InputError
 DEFAULTS = bench.BenchmarkSpec()  # every experiment flag's default
 # defaults of the flags that only some runs of a subcommand read
 ONLY_SOME_RUNS = {"m": 1, "state_store": None, "gdra_delta": DEFAULTS.gdra_delta,
-                  "gdra_tol": DEFAULTS.gdra_tol}
+                  "gdra_tol": DEFAULTS.gdra_tol, "delta": DEFAULTS.config.delta,
+                  "tol": DEFAULTS.config.tol, "max_iters": DEFAULTS.config.max_iters,
+                  "warm_start": DEFAULTS.config.warm_start}
 
 
 class _Options(dict):
@@ -99,7 +101,8 @@ def _reject_unread(args, dests: tuple[str, ...], reader: str) -> None:
     or in a config file, to other than its default: only ``reader`` reads it."""
     for dest in dests:
         if getattr(args, dest) != ONLY_SOME_RUNS[dest]:
-            raise InputError(f"--{dest.replace('_', '-')} is read only by {reader}")
+            flag = "no-warm-start" if dest == "warm_start" else dest.replace("_", "-")
+            raise InputError(f"--{flag} is read only by {reader}")
 
 
 def _fail(message: str, code: int = 2) -> int:
@@ -154,9 +157,13 @@ def cmd_monolithic(args) -> int:
 def cmd_collect_adjoint(args) -> int:
     if args.method == "gdra":
         _reject_unread(args, ("m", "state_store"), "--method mgd")
+        _reject_unread(args, ("delta", "tol"), "couple and report; GDRA reads "
+                       "--gdra-delta and --gdra-tol")
         store = bench.ExperimentContext(_benchmark_spec(args)).adjoint_store("gdra")
     else:
         _reject_unread(args, ("gdra_delta", "gdra_tol"), "--method gdra")
+        _reject_unread(args, ("tol", "max_iters", "warm_start"),
+                       "--method gdra, couple and report")
         if args.state_store is None:
             return _fail("--method mgd requires --state-store")
         ctx = bench.ExperimentContext(_benchmark_spec(args))

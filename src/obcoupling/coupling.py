@@ -29,11 +29,14 @@ cached with ``problem.operators`` and shared with MGD collection and later
 runs, or dense solves in ``rom.reduce_operators``) and no solve to set up a
 run; per timestep, two n_control x n matvecs for j0 (two more with a load),
 subtracted in place, and one sparse (or reduced) state solve per side at the
-accepted control, its signed interface term added in place. The run carries
-R g and g (M_g g) of the accepted control across steps and recomputes them
-(2 gemv and a dot) only after a descent that moved g. A step whose warm
-start already meets tol prices J with one add, one gemv and one dot, and
-returns before the descent allocates anything else. A descent trial makes
+accepted control, its signed interface term B_i g added in place (B_i is
+M_g0 on a full-order side, PsiT_Mg0 on a reduced one). The run carries R g,
+g (M_g g) and both B_i g of the accepted control across steps and
+recomputes them (four matvecs and a dot) only after a descent that moved g.
+A step whose warm start already meets tol prices J with one add, one gemv
+and one dot, and returns before the descent allocates anything else; a
+reduced side then steps with one gemv, two in-place ufuncs, a one-call
+finiteness check and one getrs. A descent trial makes
 3 n_control x n_control gemv (R g, M_g jump, M_g g), 2 dot products and
 4 vector ufuncs into fixed n_control buffers, and allocates nothing; with
 delta = 0 it skips one gemv and one dot, and the run carries no penalty.
@@ -41,7 +44,6 @@ delta = 0 it skips one gemv and one dot, and the run carries no penalty.
 
 from __future__ import annotations
 
-import functools
 import math
 import time
 from dataclasses import dataclass
@@ -147,31 +149,33 @@ class InterfaceResponse:
     (reduced), and ``response`` its trace response. States are held in the
     state model's coordinates: free-DOF values or reduced coefficients.
     ``load(n)`` gives the side's free-DOF load at timestep n, projected onto
-    Psi_u on a reduced side. ``step(u_prev, g, f)`` gives the state at
-    control g after u_prev, the side's one solve per timestep; its function
-    is looked up when the side is built, so a run sees the module names as
-    they are when it starts.
+    Psi_u on a reduced side. ``step(state, u_prev, g, f, side, B.dot(g))``
+    gives the state at control g after u_prev, the side's one solve per
+    timestep, with ``B`` its interface matrix (``M_g0`` or ``PsiT_Mg0``);
+    the function is looked up when the side is built, so a run sees the
+    module names as they are when it starts.
     """
 
     def __init__(self, side: int, state, trace_free: np.ndarray, load=None):
         self.side = side
-        self._state = state
+        self.state = state
         self._load = load
         self._reduced_state = isinstance(state, rom.ReducedOperatorSet)
-        self.response = (state.response if self._reduced_state
-                         else state.trace_response(trace_free))
-        self.step = functools.partial(
-            rom.rom_state_step if self._reduced_state else state_step, state,
-            side=side)
+        if self._reduced_state:
+            self.response, self.step, self.B = (
+                state.response, rom.rom_state_step, state.PsiT_Mg0)
+        else:
+            self.response, self.step, self.B = (
+                state.trace_response(trace_free), state_step, state.M_g0)
 
     def from_free(self, u_free: np.ndarray) -> np.ndarray:
         """State-model coordinates of a free-DOF vector: Psi_u^T v if reduced."""
         if self._reduced_state:
-            return self._state.Psi_u.T @ u_free
+            return self.state.Psi_u.T @ u_free
         return np.array(u_free, dtype=np.float64)
 
     def to_free(self, u: np.ndarray) -> np.ndarray:
-        return self._state.lift(u) if self._reduced_state else u
+        return self.state.lift(u) if self._reduced_state else u
 
     def load(self, n: int) -> np.ndarray | None:
         """The side's load at timestep n in state-model coordinates."""
@@ -360,39 +364,45 @@ def run_transient(problem: ProblemSpec, config: CouplingConfig, *,
         traj_2[:, 0] = second.to_free(u_2)
 
     # Names are bound here, once per run, so a run sees them as patched
-    # before it starts. R g and g (M_g g) of the accepted control are
-    # recomputed only when a descent returns a new array: one that makes no
-    # trial returns the control it was given.
+    # before it starts, and the steps are called positionally. R g and
+    # g (M_g g) of the starting control, and each side's B_i g of the
+    # accepted one, are recomputed only when a descent returns a new array:
+    # one that makes no trial returns the control it was given.
     descent = descent_timestep
-    step_1, step_2 = first.step, second.step
+    step_1, ops_1, B_1 = first.step, first.state, first.B
+    step_2, ops_2, B_2 = second.step, second.state, second.B
     P_1, WT_1 = first.response.P, first.response.WT
     P_2, WT_2 = second.response.P, second.response.WT
     has_load = problem.f is not None
     f_1 = f_2 = None
     warm_start, penalised = config.warm_start, config.delta != 0.0
-    g_start = np.zeros(n_control)
+    g_start = g_stepped = np.zeros(n_control)
     Rg = R.dot(g_start)
     penalty = float(g_start.dot(M_g.dot(g_start))) if penalised else None
+    Bg_1, Bg_2 = B_1.dot(g_start), B_2.dot(g_start)
     j0, trace_2 = np.empty(n_control), np.empty(n_control)
     for n in range(1, n_steps + 1):
         if has_load:
             f_1, f_2 = first.load(n), second.load(n)
         # j0 = (P_1 u_1 + W_1^T f_1) - (P_2 u_2 + W_2^T f_2), in place
-        np.dot(P_1, u_1, out=j0)
-        np.dot(P_2, u_2, out=trace_2)
+        P_1.dot(u_1, j0)
+        P_2.dot(u_2, trace_2)
         if has_load:
             j0 += WT_1 @ f_1
             trace_2 += WT_2 @ f_2
         j0 -= trace_2
         g, st = descent(j0, R, G, g_start, config, M_g, recorder=recorder,
                         step_index=n, Rg=Rg, penalty=penalty)
-        if warm_start and g is not g_start:
-            g_start = g
-            Rg = R.dot(g)
-            if penalised:
-                penalty = float(g.dot(M_g.dot(g)))
-        u_1 = step_1(u_1, g, f_1)
-        u_2 = step_2(u_2, g, f_2)
+        if g is not g_stepped:
+            g_stepped = g
+            Bg_1, Bg_2 = B_1.dot(g), B_2.dot(g)
+            if warm_start:
+                g_start = g
+                Rg = R.dot(g)
+                if penalised:
+                    penalty = float(g.dot(M_g.dot(g)))
+        u_1 = step_1(ops_1, u_1, g, f_1, 1, Bg_1)
+        u_2 = step_2(ops_2, u_2, g, f_2, 2, Bg_2)
         controls[:, n] = g
         stats.append(st)
         if keep_trajectories:

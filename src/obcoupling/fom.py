@@ -121,15 +121,20 @@ def monolithic_solve(problem: ProblemSpec, *, supg_on: bool = False) -> Trajecto
 
 
 def state_step(ops: assembly.OperatorSet, u_prev: np.ndarray, g: np.ndarray,
-               f_free: np.ndarray | None, side: int) -> np.ndarray:
-    """One implicit Euler step of a subdomain with interface control g."""
+               f_free: np.ndarray | None, side: int,
+               Bg: np.ndarray | None = None) -> np.ndarray:
+    """One implicit Euler step of a subdomain with interface control g.
+
+    ``Bg``, when given, must be ``ops.M_g0 @ g`` as that expression computes
+    it; it stands in for the step's own product.
+    """
     rhs = ops.M @ u_prev
     rhs /= ops.dt
     if f_free is not None:
         rhs += f_free
     if g is not None:  # rhs += sign * (M_g0 g), with the sign exact
         add = np.subtract if sign_of(side) < 0 else np.add
-        add(rhs, ops.M_g0 @ g, out=rhs)
+        add(rhs, ops.M_g0 @ g if Bg is None else Bg, out=rhs)
     return ops.state_factor().solve(rhs)
 
 

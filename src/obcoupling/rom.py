@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.blas import ddot
 from scipy.linalg.lapack import dgetrs
 
 from obcoupling import assembly, linalg
@@ -135,6 +136,8 @@ class ReducedOperatorSet:
     maps reduced histories and loads to traces, and its
     Y = (Psi_mu^T L^T Psi_mu)^{-1} Psi_mu^T M_g0 gives reduced adjoints. The
     adjoint basis Psi_mu enters only through Y and T Y, so it is not kept.
+    ``zeros`` is a zero vector of the reduced state's length, against which
+    a step checks its right-hand side for NaN and infinity in one dot.
     """
 
     side: int
@@ -144,6 +147,10 @@ class ReducedOperatorSet:
     state_lu: tuple           # scipy.linalg.lu_factor of the reduced state system
     PsiT_Mg0: np.ndarray      # (n_u, n_control)
     response: assembly.TraceResponse
+    zeros: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "zeros", np.zeros(self.Mh.shape[0]))
 
     def lift(self, uhat: np.ndarray) -> np.ndarray:
         """Free-DOF representation Psi_u @ uhat of a reduced state."""
@@ -183,12 +190,15 @@ def reduce_operators(ops: assembly.OperatorSet, Psi_u: np.ndarray,
 
 
 def rom_state_step(rops: ReducedOperatorSet, uhat_prev: np.ndarray,
-                   g: np.ndarray, f_hat: np.ndarray | None, side: int) -> np.ndarray:
+                   g: np.ndarray, f_hat: np.ndarray | None, side: int,
+                   Bg: np.ndarray | None = None) -> np.ndarray:
     """One reduced implicit Euler step with interface control g.
 
-    ``f_hat`` is the step's projected load Psi_u^T f, or None. The solve is
-    LAPACK's getrs on the stored factors, the routine ``lu_solve`` wraps; a
-    right-hand side holding NaN or infinity raises ValueError as there.
+    ``f_hat`` is the step's projected load Psi_u^T f, or None. ``Bg``, when
+    given, must be ``rops.PsiT_Mg0.dot(g)`` as that expression computes it;
+    it stands in for the step's own product. The solve is LAPACK's getrs on
+    the stored factors, the routine ``lu_solve`` wraps; a right-hand side
+    holding NaN or infinity raises ValueError as there.
     """
     rhs = rops.Mh.dot(uhat_prev)  # the BLAS call of @, with less overhead
     rhs /= rops.dt
@@ -196,11 +206,13 @@ def rom_state_step(rops: ReducedOperatorSet, uhat_prev: np.ndarray,
         rhs += f_hat
     if g is not None:  # rhs += sign * (PsiT_Mg0 g), with the sign exact
         add = np.subtract if sign_of(side) < 0 else np.add
-        add(rhs, rops.PsiT_Mg0.dot(g), out=rhs)
-    if not np.isfinite(rhs).all():
+        add(rhs, rops.PsiT_Mg0.dot(g) if Bg is None else Bg, out=rhs)
+    # rhs . 0 is NaN exactly when an entry is NaN or infinite; unlike
+    # np.isfinite it allocates nothing, and BLAS raises no numpy warning
+    if ddot(rhs, rops.zeros) != 0.0:
         raise ValueError("reduced state step: right-hand side holds NaN or infinity")
     lu, piv = rops.state_lu
-    return dgetrs(lu, piv, rhs, overwrite_b=True)[0]
+    return dgetrs(lu, piv, rhs, 0, 1)[0]  # trans=0, overwrite_b=1
 
 
 def rom_adjoint_from_jump(rops: ReducedOperatorSet, jump: np.ndarray,

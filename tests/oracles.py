@@ -11,8 +11,9 @@ it allocates every trial's vectors and prices each one with
 must reproduce it bit for bit. ``run_transient`` is the coupled march
 written the same way: it forms j0 from two zero-control traces, starts each
 descent afresh, and steps each side with a ``sign * (B g)`` temporary. The
-package's march, which carries R g and the penalty across steps and works in
-place, must reproduce it bit for bit.
+package's march, which carries R g, the penalty and each side's B g across
+steps and works in place, must reproduce it bit for bit.
+``exact_coupling_run`` needs no descent: it solves R g = -j0 at each step.
 """
 
 import math
@@ -22,7 +23,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 
-from obcoupling import assembly, rom
+from obcoupling import assembly, fom, rom
 from obcoupling.coupling import (Control, CoupledRunResult, CouplingConfig,
                                  IterationStats, _objective_from_jump,
                                  interface_maps, make_loads)
@@ -406,3 +407,37 @@ def run_transient(problem: ProblemSpec, config: CouplingConfig, *,
         control=Control(values=controls, dt=problem.dt), stats=stats,
         final_1=first.to_free(u[0]), final_2=second.to_free(u[1]),
         traj_1=traj_1, traj_2=traj_2, wall_time=wall)
+
+
+def exact_coupling_run(problem: ProblemSpec, supg_on: bool):
+    """Full-order coupled march whose control zeroes the interface jump.
+
+    Within a step the jump is j0 + R g, so with delta = 0 the control that
+    solves R g = -j0 is the exact interface flux; one LU of R serves every
+    step. Each side steps with ``fom.state_step`` given its product
+    M_g0 g, one sparse solve per side and step. Returns the free-DOF
+    trajectories (traj_1, traj_2), column n at t = n dt.
+    """
+    dec = problem.decomposition
+    ops = [problem.operators(side, supg_on) for side in (1, 2)]
+    responses = [op.trace_response(dec.trace_free(side))
+                 for side, op in zip((1, 2), ops)]
+    loads = [make_loads(problem, dec, side) for side in (1, 2)]
+    R = sign_of(1) * responses[0].TZ - sign_of(2) * responses[1].TZ
+    lu = scipy.linalg.lu_factor(R)
+
+    n_steps = problem.n_steps
+    u = [problem.u0[dec.node_map(side)[dec.free_nodes(side)]] for side in (1, 2)]
+    trajs = [np.empty((u_i.size, n_steps + 1)) for u_i in u]
+    for traj, u_i in zip(trajs, u):
+        traj[:, 0] = u_i
+    for n in range(1, n_steps + 1):
+        f = [None if load is None else load(n) for load in loads]
+        j0 = (responses[0].zero_control_trace(u[0], f[0])
+              - responses[1].zero_control_trace(u[1], f[1]))
+        g = scipy.linalg.lu_solve(lu, -j0)
+        u = [fom.state_step(op, u_i, g, f_i, side, op.M_g0 @ g)
+             for side, op, u_i, f_i in zip((1, 2), ops, u, f)]
+        for traj, u_i in zip(trajs, u):
+            traj[:, n] = u_i
+    return trajs[0], trajs[1]

@@ -92,7 +92,8 @@ def test_collect_adjoint_mgd(tmp_path):
     ref = tmp_path / "ref"
     cli.main(["monolithic", *DESK, "--out", str(ref)])
     out = tmp_path / "adj"
-    assert cli.main(["collect-adjoint", *DESK, *LOOSE, "--method", "mgd",
+    # MGD reads delta of the descent flags, not tol
+    assert cli.main(["collect-adjoint", *DESK, "--delta", "1e-12", "--method", "mgd",
                      "--m", "2", "--state-store", str(ref),
                      "--out", str(out)]) == 0
     store = snapshots.read_store(out)
@@ -252,6 +253,18 @@ def test_bad_arguments_exit_2(tmp_path):
             ([*mgd1, "--gdra-delta", "1e-10"], None),
             (["couple", *DESK, "--gdra-tol", "1e-8"], None),
             (["couple", *DESK, "--adjoint", "state:3"], {"gdra_tol": 5}),
+            # GDRA descends at --gdra-delta/--gdra-tol; MGD reads only delta,
+            # alpha and SUPG of the descent flags
+            ([*gdra, "--delta", "0.5", "--tol", "5"], None),
+            ([*gdra, "--delta", "0.5"], None),
+            ([*gdra, "--tol", "5"], None),
+            (gdra, {"delta": 0.5}),
+            ([*mgd, "--tol", "5", "--max-iters", "3", "--no-warm-start"], None),
+            ([*mgd, "--tol", "5"], None),
+            ([*mgd, "--max-iters", "3"], None),
+            ([*mgd, "--no-warm-start"], None),
+            (mgd, {"tol": 5}),
+            (mgd, {"warm_start": False}),
     ]:
         if config is not None:
             cfg = tmp_path / "cfg.json"
@@ -265,9 +278,16 @@ def test_flags_left_at_their_defaults_are_not_errors(tmp_path, capsys):
     # only a value the run would ignore is an error, not the flag itself
     assert cli.main(["couple", *DESK, *LOOSE, "--gdra-tol",
                      str(bench.BenchmarkSpec().gdra_tol)]) == 0
-    assert cli.main(["collect-adjoint", *DESK, *LOOSE, "--method", "gdra",
-                     "--m", "1", "--out", str(tmp_path / "g")]) == 0
+    cfg = bench.BenchmarkSpec().config
+    assert cli.main(["collect-adjoint", *DESK, "--delta", str(cfg.delta), "--tol",
+                     str(cfg.tol), "--method", "gdra", "--m", "1",
+                     "--out", str(tmp_path / "g")]) == 0
     assert "gdra: " in capsys.readouterr().out
+    assert cli.main(["monolithic", *DESK, "--out", str(tmp_path / "ref")]) == 0
+    assert cli.main(["collect-adjoint", *DESK, "--tol", str(cfg.tol), "--max-iters",
+                     str(cfg.max_iters), "--method", "mgd", "--state-store",
+                     str(tmp_path / "ref"), "--out", str(tmp_path / "m")]) == 0
+    assert "mgd: " in capsys.readouterr().out
 
 
 def test_config_defaults_and_override(tmp_path, capsys):

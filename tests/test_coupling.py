@@ -421,6 +421,30 @@ def test_lean_march_matches_the_oracle_march_bitwise(desk_reduced_models, halves
     elif variant not in ("paper", "cold"):
         # both kinds of step occur: early returns and descents with trials
         assert min(iterations) == 0 and len(got[2]) > 0
+    if halves == "rom-rom" and variant == "loose":
+        # the sides step with a carried B_i g both after no-trial steps and
+        # after steps whose descent moved g
+        controls = np.frombuffer(got[0][0]).reshape(prob.decomposition.n_control, -1)
+        moved = (controls[:, 2:] != controls[:, 1:-1]).any(axis=0)
+        assert 0 in iterations[1:] and moved.any()
+
+
+@pytest.mark.parametrize("supg_on", [True, False])
+@pytest.mark.parametrize("level", [8, 16])
+def test_exact_coupling_run_matches_the_monolithic_split(level, supg_on):
+    # with delta = 0 the control solving R g = -j0 is the exact interface
+    # flux, so the full-order coupled march retraces the monolithic reference
+    # at every step of a full turn to roundoff: the signs of the interface
+    # terms, the trace responses, M_g0 and the SUPG split are all exact
+    prob = bench.BenchmarkSpec(level=level).problem()
+    traj_1, traj_2 = oracles.exact_coupling_run(prob, supg_on)
+    ref = snapshots.split_monolithic_snapshots(
+        fom.monolithic_solve(prob, supg_on=supg_on), prob.decomposition)
+    scale = np.maximum(np.abs(ref["state_1"].data).max(axis=0),
+                       np.abs(ref["state_2"].data).max(axis=0))
+    for side, traj in ((1, traj_1), (2, traj_2)):
+        err = np.abs(traj - ref[f"state_{side}"].data).max(axis=0) / scale
+        assert err.max() <= 1e-12, (side, err.max())
 
 
 def test_transient_fom_vs_monolithic_short():

@@ -98,6 +98,22 @@ def test_state_step_linear_in_control():
     np.testing.assert_allclose(u_ab, u_a + u_b, atol=1e-12)
 
 
+def test_state_step_takes_its_carried_interface_product_bitwise():
+    # a march passes M_g0 g computed once per control; the step must return
+    # the bytes of the step that forms the product itself
+    dec = decompose(build_mesh(8, 8), 0.5)
+    rng = np.random.default_rng(5)
+    for side in (1, 2):
+        ops = assembly.subdomain_operators(dec, side, nu=1e-3, dt=0.05,
+                                           advection=rotation, supg_on=True)
+        u_prev = rng.standard_normal(ops.n_free)
+        g = rng.standard_normal(dec.n_control)
+        for f in (None, rng.standard_normal(ops.n_free)):
+            want = fom.state_step(ops, u_prev, g, f, side)
+            got = fom.state_step(ops, u_prev, g, f, side, ops.M_g0 @ g)
+            assert got.tobytes() == want.tobytes()
+
+
 def test_adjoint_no_history_and_sign():
     dec = decompose(build_mesh(6, 4), 0.5)
     rng = np.random.default_rng(9)

@@ -200,6 +200,49 @@ def test_rom_state_step_equals_lu_solve_bitwise():
                 rom.rom_state_step(rops, uhat_bad, g, None, side)
 
 
+def test_rom_state_step_takes_its_carried_interface_product_bitwise():
+    # a march passes PsiT_Mg0 g computed once per control; the step must
+    # return the bytes of the step that forms the product itself
+    dec = decompose(build_mesh(8, 8), 0.5)
+    rng = np.random.default_rng(11)
+    for side in (1, 2):
+        n_free = dec.free_nodes(side).size
+        Psi, _ = np.linalg.qr(rng.standard_normal((n_free, 10)))
+        _, rops = reduced_pair(dec, side, Psi, nu=1e-3, dt=0.05, supg_on=True)
+        uhat = rng.standard_normal(10)
+        g = rng.standard_normal(dec.n_control)
+        for f_hat in (None, rng.standard_normal(10)):
+            want = rom.rom_state_step(rops, uhat, g, f_hat, side)
+            got = rom.rom_state_step(rops, uhat, g, f_hat, side, rops.PsiT_Mg0.dot(g))
+            assert got.tobytes() == want.tobytes()
+
+
+def test_rom_state_step_rejects_a_non_finite_load_without_a_warning():
+    # the finiteness check is one dot product against zeros: NaN exactly
+    # when an entry is not finite, and silent, so no numpy warning is raised
+    # (a RuntimeWarning would fail the test); large finite entries pass
+    dec = decompose(build_mesh(8, 8), 0.5)
+    rng = np.random.default_rng(12)
+    for side in (1, 2):
+        n_free = dec.free_nodes(side).size
+        Psi, _ = np.linalg.qr(rng.standard_normal((n_free, 10)))
+        _, rops = reduced_pair(dec, side, Psi, nu=1e-3, dt=0.05, supg_on=True)
+        uhat = rng.standard_normal(10)
+        g = rng.standard_normal(dec.n_control)
+        for at in (0, 4, 9):
+            for bad in (np.nan, np.inf, -np.inf):
+                f_hat = rng.standard_normal(10)
+                f_hat[at] = bad
+                with pytest.raises(ValueError, match="NaN or infinity"):
+                    rom.rom_state_step(rops, uhat, g, f_hat, side)
+        f_hat = 1e300 * np.where(rng.standard_normal(10) < 0, -1.0, 1.0)
+        got = rom.rom_state_step(rops, uhat, g, f_hat, side)
+        rhs = rops.Mh @ uhat / rops.dt + f_hat
+        rhs = rhs + fom.sign_of(side) * (rops.PsiT_Mg0 @ g)
+        assert np.isfinite(rhs).all()
+        assert got.tobytes() == scipy.linalg.lu_solve(rops.state_lu, rhs).tobytes()
+
+
 def test_reduced_adjoint_is_transpose_of_reduced_state():
     # with Psi_mu = Psi_u the reduced adjoint system is the exact transpose
     # of the reduced state system Psi^T L Psi, mirroring the full-order
