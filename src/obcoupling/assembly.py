@@ -38,18 +38,9 @@ from obcoupling.errors import InputError
 from obcoupling.geometry import Decomposition, Mesh, free_arrays
 
 
-@dataclass(frozen=True)
-class QuadratureRule:
-    """Tensor-product Gauss rule on the reference square [-1, 1]^2."""
-
-    points: np.ndarray   # (n_qp, 2)
-    weights: np.ndarray  # (n_qp,)
-
-
-def gauss_2x2() -> QuadratureRule:
-    g = 1.0 / np.sqrt(3.0)
-    points = np.array([[-g, -g], [g, -g], [g, g], [-g, g]])
-    return QuadratureRule(points=points, weights=np.ones(4))
+_G = 1.0 / np.sqrt(3.0)
+# 2x2 Gauss points (xi, eta) on the reference square [-1, 1]^2; every weight is 1
+_GAUSS_POINTS = ((-_G, -_G), (_G, -_G), (_G, _G), (-_G, _G))
 
 
 def _shape_values(xi: float, eta: float) -> np.ndarray:
@@ -125,7 +116,12 @@ class OperatorSet:
         return self.free_nodes.size
 
     def state_matrix(self) -> sp.csr_matrix:
-        return (self.M / self.dt + self.nu * self.K + self.A + self.S_state).tocsr()
+        """M/dt + nu K + A + S_state; InputError if an entry is not finite."""
+        with np.errstate(over="ignore"):  # the sum's entries are checked instead
+            L = (self.M / self.dt + self.nu * self.K + self.A + self.S_state).tocsr()
+        if not np.isfinite(L.data).all():
+            raise InputError(f"state matrix overflows at nu={self.nu}, dt={self.dt}")
+        return L
 
     def state_factor(self) -> linalg.Factorization:
         if self._state_fact is None:
@@ -160,16 +156,10 @@ class OperatorSet:
         return self._trace_response
 
 
-def _element_geometry(mesh: Mesh):
-    hx, hy = mesh.hx, mesh.hy
-    corners = mesh.coords[mesh.elements[:, 0]]  # bottom-left corner per element
-    return hx, hy, corners
-
-
 def _assemble_volume(mesh: Mesh, advection, nu: float, dt: float, supg_on: bool):
     """Element loops for M, K, A, S_state over the full node space."""
-    quad = gauss_2x2()
-    hx, hy, corners = _element_geometry(mesh)
+    hx, hy = mesh.hx, mesh.hy
+    corners = mesh.coords[mesh.elements[:, 0]]  # bottom-left corner per element
     jac = hx * hy / 4.0
     n_el = mesh.n_elements
 
@@ -190,14 +180,14 @@ def _assemble_volume(mesh: Mesh, advection, nu: float, dt: float, supg_on: bool)
     else:
         tau = None
 
-    for (xi, eta), w in zip(quad.points, quad.weights):
+    for xi, eta in _GAUSS_POINTS:
         shapes = _shape_values(xi, eta)                  # (4,)
         ref_grad = _shape_gradients(xi, eta)             # (4, 2)
         grad = np.column_stack([ref_grad[:, 0] * 2.0 / hx,
                                 ref_grad[:, 1] * 2.0 / hy])  # physical gradients
 
-        m_el += w * jac * np.outer(shapes, shapes)
-        k_el += w * jac * (grad @ grad.T)
+        m_el += jac * np.outer(shapes, shapes)
+        k_el += jac * (grad @ grad.T)
 
         if advection is not None:
             xq = corners[:, 0] + (xi + 1.0) * hx / 2.0
@@ -207,11 +197,11 @@ def _assemble_volume(mesh: Mesh, advection, nu: float, dt: float, supg_on: bool)
             ay = np.broadcast_to(ay, yq.shape)
             # a . grad phi_j at this quadrature point, per element: (n_el, 4)
             adv_j = ax[:, None] * grad[None, :, 0] + ay[:, None] * grad[None, :, 1]
-            # A[k, j] += w |J| phi_k (a . grad phi_j)
-            a_el += w * jac * shapes[None, :, None] * adv_j[:, None, :]
+            # A[k, j] += |J| phi_k (a . grad phi_j)
+            a_el += jac * shapes[None, :, None] * adv_j[:, None, :]
             if tau is not None:
                 trial = shapes[None, None, :] / dt + adv_j[:, None, :]
-                s_el += (w * jac * tau[:, None, None]) * adv_j[:, :, None] * trial
+                s_el += (jac * tau[:, None, None]) * adv_j[:, :, None] * trial
 
     rows = np.repeat(mesh.elements, 4, axis=1).ravel()
     cols = np.tile(mesh.elements, (1, 4)).ravel()
@@ -286,14 +276,14 @@ def subdomain_operators(dec: Decomposition, side: int, *, nu: float, dt: float,
 
 def assemble_load(mesh: Mesh, free_nodes: np.ndarray, f, t: float) -> np.ndarray:
     """Load vector (f(., t), phi_k) on the free DOFs; f(x, y, t) vectorized."""
-    quad = gauss_2x2()
-    hx, hy, corners = _element_geometry(mesh)
+    hx, hy = mesh.hx, mesh.hy
+    corners = mesh.coords[mesh.elements[:, 0]]
     jac = hx * hy / 4.0
     vals = np.zeros(mesh.n_nodes)
-    for (xi, eta), w in zip(quad.points, quad.weights):
+    for xi, eta in _GAUSS_POINTS:
         shapes = _shape_values(xi, eta)
         xq = corners[:, 0] + (xi + 1.0) * hx / 2.0
         yq = corners[:, 1] + (eta + 1.0) * hy / 2.0
         fq = np.broadcast_to(np.asarray(f(xq, yq, t), dtype=np.float64), xq.shape)
-        np.add.at(vals, mesh.elements, (w * jac) * fq[:, None] * shapes[None, :])
+        np.add.at(vals, mesh.elements, jac * fq[:, None] * shapes[None, :])
     return vals[free_nodes]

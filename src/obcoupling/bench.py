@@ -79,19 +79,16 @@ def relative_errors(ops_1: assembly.OperatorSet, ops_2: assembly.OperatorSet,
     forms equal the full ones.
     """
     def forms(ops, e, r):
-        return {
-            "l2": (float(e @ (ops.M @ e)), float(r @ (ops.M @ r))),
-            "h1": (float(e @ (ops.M @ e)) + float(e @ (ops.K @ e)),
-                   float(r @ (ops.M @ r)) + float(r @ (ops.K @ r))),
-            "h1_semi": (float(e @ (ops.K @ e)), float(r @ (ops.K @ r))),
-        }
+        """e M e, e K e, r M r and r K r of one side."""
+        return [float(v @ (mat @ v)) for v in (e, r) for mat in (ops.M, ops.K)]
 
-    f_1 = forms(ops_1, final_1 - ref_1, ref_1)
-    f_2 = forms(ops_2, final_2 - ref_2, ref_2)
+    eM_1, eK_1, rM_1, rK_1 = forms(ops_1, final_1 - ref_1, ref_1)
+    eM_2, eK_2, rM_2, rK_2 = forms(ops_2, final_2 - ref_2, ref_2)
     out = {}
-    for key, name in (("l2", "rel_l2"), ("h1", "rel_h1"), ("h1_semi", "rel_h1_semi")):
-        num = f_1[key][0] + f_2[key][0]
-        den = f_1[key][1] + f_2[key][1]
+    for name, num, den in (
+            ("rel_l2", eM_1 + eM_2, rM_1 + rM_2),
+            ("rel_h1", (eM_1 + eK_1) + (eM_2 + eK_2), (rM_1 + rK_1) + (rM_2 + rK_2)),
+            ("rel_h1_semi", eK_1 + eK_2, rK_1 + rK_2)):
         if den <= 0.0:
             raise ValueError("reference field has zero norm")
         out[name] = math.sqrt(num / den)
@@ -194,38 +191,22 @@ def write_singular_values_csv(spectra: dict[tuple[str, int], np.ndarray], path):
 class ExperimentContext:
     """Shared heavyweight artifacts of one experiment.
 
-    Builds the monolithic reference, the state snapshot split, and any
-    requested basis lazily, caching each so repeated entries reuse them.
-    The reference trajectory is dropped once it is split into the state
-    store, so one copy of it stays in memory; its wall time is kept.
-    Full-order sides, reductions and the error metric all use the problem's
-    operators (``ProblemSpec.operators``), built once per experiment.
+    ``state_store`` is the one place the monolithic reference runs: it keeps
+    the wall time and the parent's free-DOF u(T), not the trajectory, and
+    ``load_state_store`` installs a stored split instead. Bases are built
+    lazily and cached. Full-order sides, reductions and the error metric all
+    use the problem's operators (``ProblemSpec.operators``), built once.
     """
 
     def __init__(self, spec: BenchmarkSpec):
         self.spec = spec
         self.problem = spec.problem()
         self.config = spec.config
-        self._mono = None
-        self._mono_wall = None
+        self.mono_wall: float | None = None       # set by the reference run
+        self.mono_final: np.ndarray | None = None  # set by the reference run
         self._states = None
         self._bases: dict[tuple[str, int], rom.ReducedBasis] = {}
         self._adjoint_stores: dict[str, snapshots.SnapshotStore] = {}
-
-    @property
-    def mono_wall(self) -> float:
-        """Wall time of the one monolithic solve."""
-        if self._mono_wall is None:
-            self.monolithic()
-        return self._mono_wall
-
-    def monolithic(self):
-        """The reference trajectory; ``state_store`` drops it once split."""
-        if self._mono is None:
-            t0 = time.perf_counter()
-            self._mono = monolithic_solve(self.problem, supg_on=self.config.supg_on)
-            self._mono_wall = time.perf_counter() - t0
-        return self._mono
 
     def run_identity(self) -> dict:
         """What a state store records of its run; MGD collection needs a match."""
@@ -233,12 +214,27 @@ class ExperimentContext:
                 "n_steps": self.problem.n_steps, "supg_on": self.config.supg_on}
 
     def state_store(self) -> snapshots.SnapshotStore:
+        """The state split of the reference, solved on first use."""
         if self._states is None:
+            t0 = time.perf_counter()
+            traj = monolithic_solve(self.problem, supg_on=self.config.supg_on)
+            self.mono_wall = time.perf_counter() - t0
+            self.mono_final = traj.data[:, -1].copy()  # not a view of the trajectory
             self._states = snapshots.split_monolithic_snapshots(
-                self.monolithic(), self.problem.decomposition)
+                traj, self.problem.decomposition)
             self._states.meta.update(self.run_identity())
-            self._mono = None
         return self._states
+
+    def load_state_store(self, directory) -> snapshots.SnapshotStore:
+        """Read a stored state split and use it as this run's; InputError
+        naming the first ``run_identity`` key it lacks or records otherwise."""
+        states = snapshots.read_store(directory)
+        for key, value in self.run_identity().items():
+            if states.meta.get(key) != value:  # a missing key fails too
+                raise InputError(f"state store {directory} records {key}="
+                                 f"{states.meta.get(key)!r}, this run has {key}={value!r}")
+        self._states = states
+        return states
 
     def reference_finals(self) -> tuple[np.ndarray, np.ndarray]:
         store = self.state_store()
@@ -335,6 +331,7 @@ def run_experiment(spec: BenchmarkSpec, entries: list[ExperimentEntry],
                    outdir=None) -> list[ReportRow]:
     """Run the comparison set and optionally write the report files."""
     ctx = ExperimentContext(spec)
+    ctx.state_store()  # the reference runs first and leads the timings
     rows = []
     timings = [("monolithic", ctx.mono_wall)]
     for entry in entries:

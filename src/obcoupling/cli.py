@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
+import os
 import sys
 from pathlib import Path
 
@@ -105,6 +107,24 @@ def _reject_unread(args, dests: tuple[str, ...], reader: str) -> None:
             raise InputError(f"--{flag} is read only by {reader}")
 
 
+def _check_writable(path: str, *, is_dir: bool) -> None:
+    """InputError unless ``path`` can be written as a directory (``is_dir``)
+    or a file, missing parents created; writes nothing, so a command checks
+    its outputs before any work runs."""
+    target = nearest = Path(path)
+    while not nearest.exists():
+        nearest = nearest.parent
+    if nearest == target and target.is_dir() != is_dir:
+        problem = "it is a file" if is_dir else "it is a directory"
+    elif not nearest.is_dir() and nearest != target:
+        problem = f"{nearest} is not a directory"
+    elif not os.access(nearest, os.W_OK):
+        problem = f"{nearest} is not writable"
+    else:
+        return
+    raise InputError(f"cannot write {path}: {problem}")
+
+
 def _fail(message: str, code: int = 2) -> int:
     print(f"error: {message}", file=sys.stderr)
     return code
@@ -143,13 +163,11 @@ def _warn_early_stops(rows) -> None:
 
 
 def cmd_monolithic(args) -> int:
+    _check_writable(args.out, is_dir=True)
     ctx = bench.ExperimentContext(_benchmark_spec(args))
-    final = ctx.monolithic().data[:, -1]  # read before the split drops it
-    n_free, norm = final.size, np.linalg.norm(final)
-    del final
     snapshots.write_store(ctx.state_store(), args.out)
-    print(f"monolithic: {ctx.problem.n_steps} steps, "
-          f"{n_free} free DOFs, |u(T)|_2 = {norm:.6e}")
+    print(f"monolithic: {ctx.problem.n_steps} steps, {ctx.mono_final.size} free "
+          f"DOFs, |u(T)|_2 = {np.linalg.norm(ctx.mono_final):.6e}")
     print(f"state snapshots written to {args.out}")
     return 0
 
@@ -159,26 +177,24 @@ def cmd_collect_adjoint(args) -> int:
         _reject_unread(args, ("m", "state_store"), "--method mgd")
         _reject_unread(args, ("delta", "tol"), "couple and report; GDRA reads "
                        "--gdra-delta and --gdra-tol")
-        store = bench.ExperimentContext(_benchmark_spec(args)).adjoint_store("gdra")
     else:
         _reject_unread(args, ("gdra_delta", "gdra_tol"), "--method gdra")
         _reject_unread(args, ("tol", "max_iters", "warm_start"),
                        "--method gdra, couple and report")
         if args.state_store is None:
             return _fail("--method mgd requires --state-store")
-        ctx = bench.ExperimentContext(_benchmark_spec(args))
-        states = snapshots.read_store(args.state_store)
-        for key, value in ctx.run_identity().items():
-            if states.meta.get(key) != value:  # a missing key fails too
-                return _fail(f"state store {args.state_store} records {key}="
-                             f"{states.meta.get(key)!r}, this run has {key}={value!r}")
-        store = snapshots.collect_mgd(ctx.problem, states, args.m, ctx.config)
+    _check_writable(args.out, is_dir=True)
+    ctx = bench.ExperimentContext(_benchmark_spec(args))
+    if args.method == "mgd":
+        ctx.load_state_store(args.state_store)
+    store = ctx.adjoint_store("gdra" if args.method == "gdra" else f"mgd{args.m}")
     snapshots.write_store(store, args.out)
     print(f"{args.method}: {store.meta['n_pairs']} adjoint pairs written to {args.out}")
     return 0
 
 
 def cmd_pod(args) -> int:
+    _check_writable(args.out, is_dir=True)
     store = snapshots.read_store(args.store)
     if args.key not in store:
         return _fail(f"store has no matrix {args.key!r}; "
@@ -206,6 +222,8 @@ def cmd_couple(args) -> int:
     adjoint_source, adjoint_modes = _parse_adjoint_model(args.adjoint)
     if adjoint_source != "gdra":
         _reject_unread(args, ("gdra_delta", "gdra_tol"), "a gdra:<modes> adjoint")
+    if args.report is not None:
+        _check_writable(args.report, is_dir=False)
     spec = _benchmark_spec(args)
     entry = bench.ExperimentEntry(
         label=f"{args.state}/{args.adjoint}", state_modes=state_modes,
@@ -218,6 +236,7 @@ def cmd_couple(args) -> int:
           f"converged {row.all_converged}, wall {row.wall_seconds:.2f}s")
     _warn_early_stops([row])
     if args.report is not None:
+        Path(args.report).parent.mkdir(parents=True, exist_ok=True)
         bench.write_report_csv([row], args.report)
         print(f"report written to {args.report}")
     if args.strict and not row.all_converged:
@@ -228,6 +247,7 @@ def cmd_couple(args) -> int:
 
 
 def cmd_report(args) -> int:
+    _check_writable(args.out, is_dir=True)
     spec = _benchmark_spec(args)
     rows = bench.run_experiment(spec, bench.standard_entries(), args.out)
     for row in rows:
@@ -243,6 +263,9 @@ def cmd_report(args) -> int:
 def cmd_gradcheck(args) -> int:
     if args.trials < 1:
         raise InputError(f"--trials must be at least 1, got {args.trials}")
+    if not (math.isfinite(args.check_tol) and args.check_tol >= 0.0):
+        raise InputError(f"--check-tol must be finite and nonnegative, "
+                         f"got {args.check_tol}")
     worst = 0.0
     for trial in range(args.trials):
         dec, ops_1, ops_2, u_prev_1, u_prev_2, g = coupling.random_gradient_instance(

@@ -1,5 +1,8 @@
+import dataclasses
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -272,6 +275,26 @@ def test_assemble_operators_validates_inputs():
     for nu, dt in ((np.nan, 0.1), (np.inf, 0.1), (1.0, np.nan), (1.0, np.inf)):
         with pytest.raises(InputError, match="finite"):
             assembly.assemble_operators(mesh, mesh.boundary_nodes, nu=nu, dt=dt)
+
+
+def test_state_matrix_overflow_is_an_input_error():
+    # finite nu and dt can still overflow nu K, M/dt or their sum with A + S;
+    # scipy's sparse add raises no numpy flag, so the entries are checked, and
+    # no RuntimeWarning escapes (the test configuration makes it an error)
+    mesh = build_mesh(4, 4)
+    ops = assembly.assemble_operators(mesh, mesh.boundary_nodes, nu=1.0, dt=0.1,
+                                      advection=rotation, supg_on=True)
+    assert np.isfinite(ops.state_matrix().data).all()
+    huge = 1e308 * sp.identity(ops.n_free, format="csr")
+    for changes in ({"nu": 1e308},                   # nu K
+                    {"dt": 5e-324},                  # M / dt
+                    {"nu": 6e307, "S_state": huge}):  # the sum, each term finite
+        with pytest.raises(InputError, match="state matrix overflows"):
+            dataclasses.replace(ops, **changes).state_matrix()
+    overflowing = assembly.assemble_operators(mesh, mesh.boundary_nodes, nu=1e308,
+                                              dt=0.1)
+    with pytest.raises(InputError, match="state matrix overflows"):
+        overflowing.state_factor()
 
 
 @settings(max_examples=10, deadline=None)

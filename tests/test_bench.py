@@ -1,7 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
-from obcoupling import assembly, bench, coupling, fom, linalg
+from obcoupling import assembly, bench, coupling, fom, linalg, snapshots
 from obcoupling.errors import InputError
 
 
@@ -179,8 +181,7 @@ def test_experiment_builds_each_sides_operators_once(monkeypatch):
     assert calls == {"subdomain_operators": 2, "factorize": 3}
 
 
-def test_context_keeps_one_copy_of_the_reference(monkeypatch):
-    # the split store replaces the trajectory, and the wall time outlives it
+def _count_reference_solves(monkeypatch) -> list:
     solves = []
     solve = bench.monolithic_solve
 
@@ -189,9 +190,72 @@ def test_context_keeps_one_copy_of_the_reference(monkeypatch):
         return solve(*args, **kwargs)
 
     monkeypatch.setattr(bench, "monolithic_solve", counting)
-    ctx = bench.ExperimentContext(bench.BenchmarkSpec(level=8, nu=1e-3, dt=5e-2,
-                                                      T=0.3))
-    wall = ctx.mono_wall
+    return solves
+
+
+def _holds_a_trajectory(ctx) -> bool:
+    return any(isinstance(value, fom.Trajectory) for value in vars(ctx).values())
+
+
+DESK = bench.BenchmarkSpec(level=8, nu=1e-3, dt=5e-2, T=0.3)
+
+
+def test_context_keeps_one_copy_of_the_reference(monkeypatch):
+    # the split store replaces the trajectory, and the wall time outlives it
+    solves = _count_reference_solves(monkeypatch)
+    ctx = bench.ExperimentContext(DESK)
     store = ctx.state_store()
-    assert ctx._mono is None and ctx.mono_wall == wall > 0.0
+    wall = ctx.mono_wall
+    assert ctx.state_store() is store and ctx.mono_wall == wall > 0.0
+    assert not _holds_a_trajectory(ctx)
     assert store["state_1"].data.shape[1] == 7 and len(solves) == 1
+
+
+_CONTEXT_CALLS = {
+    "state_store": lambda ctx: ctx.state_store(),
+    "mono_wall": lambda ctx: ctx.mono_wall,
+    "reference_finals": lambda ctx: ctx.reference_finals(),
+    "adjoint_store": lambda ctx: ctx.adjoint_store("mgd1"),
+    "run_entry": lambda ctx: ctx.run_entry(bench.ExperimentEntry(
+        "rom", state_modes=3, adjoint_modes=3)),
+}
+
+
+@pytest.mark.parametrize("first", list(_CONTEXT_CALLS))
+def test_reference_runs_once_in_any_order(monkeypatch, first):
+    # whichever use comes first, the reference is solved once, split, and
+    # not held as a trajectory afterwards
+    solves = _count_reference_solves(monkeypatch)
+    ctx = bench.ExperimentContext(DESK)
+    names = list(_CONTEXT_CALLS)
+    start = names.index(first)
+    for name in names[start:] + names[:start]:
+        _CONTEXT_CALLS[name](ctx)
+        assert not _holds_a_trajectory(ctx)
+    assert len(solves) == 1 and ctx.mono_wall > 0.0
+    assert ctx.mono_final.shape == (ctx.problem.mesh.n_nodes
+                                    - ctx.problem.mesh.boundary_nodes.size,)
+
+
+def test_load_state_store_checks_the_run_identity(tmp_path, monkeypatch):
+    ctx = bench.ExperimentContext(DESK)
+    snapshots.write_store(ctx.state_store(), tmp_path / "ref")
+    meta_path = tmp_path / "ref" / "meta.json"
+    written = json.loads(meta_path.read_text())
+    solves = _count_reference_solves(monkeypatch)
+
+    # a matching store is used as is: no reference solve, and MGD reads it
+    loaded = bench.ExperimentContext(DESK)
+    store = loaded.load_state_store(tmp_path / "ref")
+    assert loaded.state_store() is store and loaded.mono_wall is None
+    assert loaded.adjoint_store("mgd1").meta["n_pairs"] == 6 and solves == []
+
+    # every key that differs or is missing is rejected by name
+    for key, value in ctx.run_identity().items():
+        for recorded in ({**written, key: "other"},
+                         {k: v for k, v in written.items() if k != key}):
+            meta_path.write_text(json.dumps(recorded))
+            fresh = bench.ExperimentContext(DESK)
+            with pytest.raises(InputError, match=f"records {key}="):
+                fresh.load_state_store(tmp_path / "ref")
+    assert solves == []

@@ -160,6 +160,44 @@ def test_flag_defaults_are_the_benchmark_spec(argv):
     assert cli._benchmark_spec(parser.parse_args(argv)) == bench.BenchmarkSpec()
 
 
+def test_unwritable_output_exits_2_before_any_work(tmp_path, capsys, monkeypatch):
+    # an output path that cannot be written fails at once: no solve runs and
+    # nothing is written
+    def no_work(*args, **kwargs):
+        raise AssertionError("work ran before the output path was checked")
+
+    monkeypatch.setattr(bench, "monolithic_solve", no_work)
+    monkeypatch.setattr(snapshots, "collect_gdra", no_work)
+    monkeypatch.setattr(bench.coupling, "run_transient", no_work)
+    monkeypatch.setattr(snapshots, "read_store", no_work)
+    taken = tmp_path / "file"
+    taken.write_text("x")
+    for argv in (["monolithic", *DESK, "--out", str(taken)],
+                 ["monolithic", *DESK, "--out", str(taken / "ref")],
+                 ["collect-adjoint", *DESK, "--method", "gdra", "--out", str(taken)],
+                 ["collect-adjoint", *DESK, "--method", "mgd", "--state-store",
+                  str(tmp_path), "--out", str(taken)],
+                 ["report", *DESK, "--out", str(taken)],
+                 ["couple", *DESK, "--report", str(taken / "r.csv")],
+                 ["couple", *DESK, "--report", str(tmp_path)],
+                 ["pod", "--store", str(tmp_path), "--modes", "1",
+                  "--out", str(taken)]):
+        assert cli.main(argv) == 2, argv
+        assert capsys.readouterr().err.startswith(f"error: cannot write {argv[-1]}")
+    # a directory the user may not write to (root may write anywhere)
+    monkeypatch.setattr(cli.os, "access", lambda path, mode: False)
+    assert cli.main(["monolithic", *DESK, "--out", str(tmp_path / "new")]) == 2
+    assert "is not writable" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["file"]
+    assert taken.read_text() == "x"
+
+
+def test_couple_report_creates_missing_parents(tmp_path):
+    report = tmp_path / "runs" / "one" / "row.csv"
+    assert cli.main(["couple", *DESK, *LOOSE, "--report", str(report)]) == 0
+    assert report.read_text().startswith("label,")
+
+
 def test_gradcheck_command(capsys):
     assert cli.main(["gradcheck", "--trials", "2", "--seed", "1"]) == 0
     assert "max relative mismatch" in capsys.readouterr().out
@@ -358,6 +396,12 @@ def test_config_placement_before_subcommand(tmp_path):
     # the SUPG tau squares 2/dt, which overflows though dt and T are finite
     (["couple", "--level", "8", "--dt", "1e-300", "--T", "1e-299"],
      "operator coefficients overflow"),
+    # nu K overflows though nu is finite; no RuntimeWarning may escape either
+    ([*SHORT, "--nu", "1e308"], "state matrix overflows"),
+    (["gradcheck", "--nu", "1e308"], "state matrix overflows"),
+    # a NaN or negative tolerance would fail or pass every trial vacuously
+    (["gradcheck", "--check-tol", "nan"], "--check-tol must be finite and nonnegative"),
+    (["gradcheck", "--check-tol", "-1"], "--check-tol must be finite and nonnegative"),
 ])
 def test_library_value_errors_exit_2(tmp_path, capsys, argv, message):
     argv = [arg.format(tmp=tmp_path) for arg in argv]
