@@ -112,6 +112,12 @@ class BenchmarkSpec:
                                            T=self.T)
 
 
+def _mgd_pairs(source: str) -> int | None:
+    """The m of an adjoint source "mgd<m>", or None if source is not one."""
+    m = source.removeprefix("mgd")
+    return int(m) if m != source and m.isascii() and m.isdecimal() else None
+
+
 @dataclass(frozen=True)
 class ExperimentEntry:
     """One coupled run: which model solves states, which solves adjoints.
@@ -129,9 +135,7 @@ class ExperimentEntry:
 
     def __post_init__(self):
         source = self.adjoint_source
-        if source not in ("state", "gdra") and not (
-                source.startswith("mgd") and source[3:].isascii()
-                and source[3:].isdecimal()):
+        if source not in ("state", "gdra") and _mgd_pairs(source) is None:
             raise InputError(f"unknown adjoint source {source!r}")
 
 
@@ -246,9 +250,11 @@ class ExperimentContext:
                 cfg = replace(self.config, delta=self.spec.gdra_delta,
                               tol=self.spec.gdra_tol)
                 store = snapshots.collect_gdra(self.problem, cfg)
-            else:  # "mgd<m>", as ExperimentEntry checked
+            elif (m := _mgd_pairs(source)) is not None:
                 store = snapshots.collect_mgd(self.problem, self.state_store(),
-                                              int(source[3:]), self.config)
+                                              m, self.config)
+            else:
+                raise InputError(f"adjoint source {source!r} has no snapshot store")
             self._adjoint_stores[source] = store
         return self._adjoint_stores[source]
 

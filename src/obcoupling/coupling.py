@@ -23,8 +23,8 @@ G = sign_1 T_1 Y_1 - sign_2 T_2 Y_2. That algebra lives here once, for the
 coupled march and both snapshot collectors: ``interface_maps`` builds
 (R, G) from the sides' state and adjoint responses, each full order or
 reduced, and ``write_pair`` writes the pair sign_i Y_i jump of a recorded
-jump into snapshot columns. An InterfaceResponse holds a side's state
-half. Cost model: one TraceResponse per model (a multi-column sparse solve
+jump into snapshot columns.
+Cost model: one TraceResponse per model (a multi-column sparse solve
 cached with ``problem.operators`` and shared with MGD collection and later
 runs, or dense solves in ``rom.reduce_operators``) and no solve to set up a
 run; per timestep, two n_control x n matvecs for j0 (two more with a load),
@@ -85,7 +85,6 @@ class Control:
     """Accepted interface controls, one column per time level (column 0 zero)."""
 
     values: np.ndarray  # (n_control, n_steps + 1)
-    dt: float
 
 
 @dataclass(slots=True)
@@ -97,10 +96,13 @@ class IterationStats:
     directions: int          # descent directions (gradients) formed
     alpha_reductions: int
     objective: float         # final value of J
-    converged: bool
     wall_time: float
     stop_reason: str         # "tol", "max_iters", "stagnated" or "non_finite"
     accepted_objectives: list[float] | None = None
+
+    @property
+    def converged(self) -> bool:
+        return self.stop_reason == "tol"
 
 
 def objective(u_1: np.ndarray, u_2: np.ndarray, g: np.ndarray, delta: float,
@@ -142,46 +144,6 @@ def write_pair(spans, jump: np.ndarray, out, col: int) -> None:
         out_i[:, col] = sign_of(side) * (Y @ jump)
 
 
-class InterfaceResponse:
-    """The state half of one subdomain within a timestep.
-
-    ``state`` is an OperatorSet (full order) or a ReducedOperatorSet
-    (reduced), and ``response`` its trace response. States are held in the
-    state model's coordinates: free-DOF values or reduced coefficients.
-    ``load(n)`` gives the side's free-DOF load at timestep n, projected onto
-    Psi_u on a reduced side. ``step(state, u_prev, g, f, side, B.dot(g))``
-    gives the state at control g after u_prev, the side's one solve per
-    timestep, with ``B`` its interface matrix (``M_g0`` or ``PsiT_Mg0``);
-    the function is looked up when the side is built, so a run sees the
-    module names as they are when it starts.
-    """
-
-    def __init__(self, side: int, state, trace_free: np.ndarray, load=None):
-        self.side = side
-        self.state = state
-        self._load = load
-        self._reduced_state = isinstance(state, rom.ReducedOperatorSet)
-        if self._reduced_state:
-            self.response, self.step, self.B = (
-                state.response, rom.rom_state_step, state.PsiT_Mg0)
-        else:
-            self.response, self.step, self.B = (
-                state.trace_response(trace_free), state_step, state.M_g0)
-
-    def from_free(self, u_free: np.ndarray) -> np.ndarray:
-        """State-model coordinates of a free-DOF vector: Psi_u^T v if reduced."""
-        if self._reduced_state:
-            return self.state.Psi_u.T @ u_free
-        return np.array(u_free, dtype=np.float64)
-
-    def to_free(self, u: np.ndarray) -> np.ndarray:
-        return self.state.lift(u) if self._reduced_state else u
-
-    def load(self, n: int) -> np.ndarray | None:
-        """The side's load at timestep n in state-model coordinates."""
-        return None if self._load is None else self.from_free(self._load(n))
-
-
 def descent_timestep(j0: np.ndarray, R: np.ndarray, G: np.ndarray, g0: np.ndarray,
                      config: CouplingConfig, M_g, *, recorder=None,
                      step_index: int = 0, Rg: np.ndarray | None = None,
@@ -214,11 +176,9 @@ def descent_timestep(j0: np.ndarray, R: np.ndarray, G: np.ndarray, g0: np.ndarra
         obj += 0.5 * delta * (float(g.dot(M_g.dot(g))) if penalty is None else penalty)
     accepted = [obj] if config.record_history else None
     if not (math.isfinite(obj) and obj >= tol):
-        converged = math.isfinite(obj)
         # positional: the fields in order, step to accepted_objectives
-        return g, IterationStats(step_index, 0, 0, 0, obj, converged,
-                                 time.perf_counter() - t_start,
-                                 "tol" if converged else "non_finite", accepted)
+        return g, IterationStats(step_index, 0, 0, 0, obj, time.perf_counter() - t_start,
+                                 "tol" if math.isfinite(obj) else "non_finite", accepted)
 
     # Trials write into fixed buffers, and an accept swaps g with g_try. A
     # trial overwrites jump, which is read only to form a direction right
@@ -275,7 +235,7 @@ def descent_timestep(j0: np.ndarray, R: np.ndarray, G: np.ndarray, g0: np.ndarra
         stop = "tol" if obj < tol else "max_iters"
     stats = IterationStats(
         step=step_index, iterations=iterations, directions=directions,
-        alpha_reductions=reductions, objective=obj, converged=stop == "tol",
+        alpha_reductions=reductions, objective=obj,
         wall_time=time.perf_counter() - t_start, stop_reason=stop,
         accepted_objectives=accepted)
     return g, stats
@@ -338,20 +298,33 @@ def run_transient(problem: ProblemSpec, config: CouplingConfig, *,
            else None for side in (1, 2)]
 
     t_start = time.perf_counter()
+    # per side: the step function (looked up once per run, so a run sees it as
+    # patched before it starts), model, B, state response and Psi_u or None
     sides, adjoints = [], []
     for side in (1, 2):
         srops, arops, op = state_rops[side - 1], adjoint_rops[side - 1], ops[side - 1]
         tf = dec.trace_free(side)
-        sides.append(InterfaceResponse(side, op if srops is None else srops, tf,
-                                       load=make_loads(problem, dec, side)))
+        if srops is None:
+            sides.append((state_step, op, op.M_g0, op.trace_response(tf), None))
+        else:
+            sides.append((rom.rom_state_step, srops, srops.PsiT_Mg0, srops.response,
+                          srops.Psi_u))
         adjoints.append(op.trace_response(tf) if arops is None else arops.response)
-    first, second = sides
-    R, G = interface_maps((first.response, second.response), adjoints)
+    (step_1, ops_1, B_1, resp_1, Psi_1), (step_2, ops_2, B_2, resp_2, Psi_2) = sides
+    R, G = interface_maps((resp_1, resp_2), adjoints)
     # both sides share the same interface mass matrix
     M_g = assembly.assemble_interface_mass(dec, 1)[1].toarray()
 
-    u_1, u_2 = (s.from_free(problem.u0[dec.node_map(s.side)[dec.free_nodes(s.side)]])
-                for s in sides)
+    def to_state(Psi, v):  # a free-DOF vector in state coordinates
+        return v if Psi is None else Psi.T @ v
+
+    def to_free(Psi, u):  # a state as free-DOF values
+        return u if Psi is None else Psi @ u
+
+    u0 = np.asarray(problem.u0, dtype=np.float64)
+    u_1, u_2 = (to_state(Psi, u0[dec.node_map(side)[dec.free_nodes(side)]])
+                for side, Psi in ((1, Psi_1), (2, Psi_2)))
+    load_1, load_2 = (make_loads(problem, dec, side) for side in (1, 2))
     n_control = dec.n_control
     controls = np.zeros((n_control, n_steps + 1), order="F")
     stats: list[IterationStats] = []
@@ -360,19 +333,16 @@ def run_transient(problem: ProblemSpec, config: CouplingConfig, *,
     if keep_trajectories:
         traj_1 = np.empty((dec.free_nodes(1).size, n_steps + 1), order="F")
         traj_2 = np.empty((dec.free_nodes(2).size, n_steps + 1), order="F")
-        traj_1[:, 0] = first.to_free(u_1)
-        traj_2[:, 0] = second.to_free(u_2)
+        traj_1[:, 0] = to_free(Psi_1, u_1)
+        traj_2[:, 0] = to_free(Psi_2, u_2)
 
-    # Names are bound here, once per run, so a run sees them as patched
-    # before it starts, and the steps are called positionally. R g and
-    # g (M_g g) of the starting control, and each side's B_i g of the
-    # accepted one, are recomputed only when a descent returns a new array:
-    # one that makes no trial returns the control it was given.
+    # The steps are called positionally. R g and g (M_g g) of the starting
+    # control, and each side's B_i g of the accepted one, are recomputed only
+    # when a descent returns a new array: one that makes no trial returns the
+    # control it was given.
     descent = descent_timestep
-    step_1, ops_1, B_1 = first.step, first.state, first.B
-    step_2, ops_2, B_2 = second.step, second.state, second.B
-    P_1, WT_1 = first.response.P, first.response.WT
-    P_2, WT_2 = second.response.P, second.response.WT
+    P_1, WT_1 = resp_1.P, resp_1.WT
+    P_2, WT_2 = resp_2.P, resp_2.WT
     has_load = problem.f is not None
     f_1 = f_2 = None
     warm_start, penalised = config.warm_start, config.delta != 0.0
@@ -383,7 +353,7 @@ def run_transient(problem: ProblemSpec, config: CouplingConfig, *,
     j0, trace_2 = np.empty(n_control), np.empty(n_control)
     for n in range(1, n_steps + 1):
         if has_load:
-            f_1, f_2 = first.load(n), second.load(n)
+            f_1, f_2 = to_state(Psi_1, load_1(n)), to_state(Psi_2, load_2(n))
         # j0 = (P_1 u_1 + W_1^T f_1) - (P_2 u_2 + W_2^T f_2), in place
         P_1.dot(u_1, j0)
         P_2.dot(u_2, trace_2)
@@ -406,13 +376,13 @@ def run_transient(problem: ProblemSpec, config: CouplingConfig, *,
         controls[:, n] = g
         stats.append(st)
         if keep_trajectories:
-            traj_1[:, n] = first.to_free(u_1)
-            traj_2[:, n] = second.to_free(u_2)
+            traj_1[:, n] = to_free(Psi_1, u_1)
+            traj_2[:, n] = to_free(Psi_2, u_2)
     wall = time.perf_counter() - t_start
 
     return CoupledRunResult(
-        control=Control(values=controls, dt=problem.dt), stats=stats,
-        final_1=first.to_free(u_1), final_2=second.to_free(u_2),
+        control=Control(values=controls), stats=stats,
+        final_1=to_free(Psi_1, u_1), final_2=to_free(Psi_2, u_2),
         traj_1=traj_1, traj_2=traj_2, wall_time=wall)
 
 

@@ -63,12 +63,13 @@ class ReducedBasis:
         return self.Psi.shape[1]
 
     def truncate(self, n_modes: int) -> "ReducedBasis":
-        if self.data is not None and self.n_modes < n_modes <= self.sigma.size:
+        limit = self.n_modes if self.data is None else self.sigma.size
+        if not 1 <= n_modes <= limit:
+            raise InputError(f"cannot truncate to {n_modes} of at most {limit} modes")
+        if n_modes > self.n_modes:
             # the span route gave only span-width modes; more come from the
             # thin SVD of the data, exactly as without a span
             return full_pod(self.data).truncate(n_modes)
-        if not 1 <= n_modes <= self.n_modes:
-            raise InputError(f"cannot truncate {self.n_modes}-mode basis to {n_modes}")
         return ReducedBasis(Psi=self.Psi[:, :n_modes], sigma=self.sigma)
 
 
@@ -140,7 +141,6 @@ class ReducedOperatorSet:
     a step checks its right-hand side for NaN and infinity in one dot.
     """
 
-    side: int
     dt: float
     Psi_u: np.ndarray
     Mh: np.ndarray
@@ -151,10 +151,6 @@ class ReducedOperatorSet:
 
     def __post_init__(self):
         object.__setattr__(self, "zeros", np.zeros(self.Mh.shape[0]))
-
-    def lift(self, uhat: np.ndarray) -> np.ndarray:
-        """Free-DOF representation Psi_u @ uhat of a reduced state."""
-        return self.Psi_u @ uhat
 
 
 def _project(mat, basis: np.ndarray) -> np.ndarray:
@@ -183,7 +179,7 @@ def reduce_operators(ops: assembly.OperatorSet, Psi_u: np.ndarray,
     Y = scipy.linalg.lu_solve(scipy.linalg.lu_factor(_project(system.T, Psi_mu)),
                               (ops.M_g0.T @ Psi_mu).T)
     return ReducedOperatorSet(
-        side=ops.side, dt=ops.dt, Psi_u=Psi_u, Mh=Mh,
+        dt=ops.dt, Psi_u=Psi_u, Mh=Mh,
         state_lu=state_lu, PsiT_Mg0=PsiT_Mg0, response=assembly.TraceResponse(
             trace_free=np.array(trace_free, dtype=np.int64), Y=Y, WT=WT,
             P=WT @ Mh / ops.dt, TZ=WT @ PsiT_Mg0, TY=Psi_mu[trace_free] @ Y))

@@ -304,7 +304,7 @@ def descent_timestep(j0: np.ndarray, R: np.ndarray, G: np.ndarray, g0: np.ndarra
         stop = "tol" if obj < tol else "max_iters"
     stats = IterationStats(
         step=step_index, iterations=iterations, directions=directions,
-        alpha_reductions=reductions, objective=obj, converged=stop == "tol",
+        alpha_reductions=reductions, objective=obj,
         wall_time=time.perf_counter() - t_start, stop_reason=stop,
         accepted_objectives=accepted)
     return g, stats
@@ -327,7 +327,7 @@ class AllocatingSide:
         return np.array(u_free, dtype=np.float64)
 
     def to_free(self, u: np.ndarray) -> np.ndarray:
-        return self._state.lift(u) if self._reduced_state else u
+        return self._state.Psi_u @ u if self._reduced_state else u
 
     def load(self, n: int):
         return None if self._load is None else self.from_free(self._load(n))
@@ -404,7 +404,7 @@ def run_transient(problem: ProblemSpec, config: CouplingConfig, *,
     wall = time.perf_counter() - t_start
 
     return CoupledRunResult(
-        control=Control(values=controls, dt=problem.dt), stats=stats,
+        control=Control(values=controls), stats=stats,
         final_1=first.to_free(u[0]), final_2=second.to_free(u[1]),
         traj_1=traj_1, traj_2=traj_2, wall_time=wall)
 

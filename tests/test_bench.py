@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -155,6 +156,14 @@ def test_experiment_entry_rejects_unknown_adjoint_source(source):
         bench.ExperimentEntry("x", adjoint_modes=3, adjoint_source=source)
     for known in ("state", "gdra", "mgd1", "mgd12"):
         assert bench.ExperimentEntry("x", adjoint_source=known).adjoint_source == known
+
+
+@pytest.mark.parametrize("source", ["state", "mgd", "mgdx", "gdra2"])
+def test_adjoint_store_rejects_a_source_it_has_no_store_for(source):
+    # "state" is a basis source, not a collection; the rest are no source at all
+    ctx = bench.ExperimentContext(bench.BenchmarkSpec(level=8, T=0.2))
+    with pytest.raises(InputError, match=re.escape(repr(source))):
+        ctx.adjoint_store(source)
 
 
 def test_state_store_records_its_run_identity():

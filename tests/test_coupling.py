@@ -429,6 +429,31 @@ def test_lean_march_matches_the_oracle_march_bitwise(desk_reduced_models, halves
         assert 0 in iterations[1:] and moved.any()
 
 
+@pytest.mark.parametrize("state_reduced", [(False, False), (True, True),
+                                           (True, False), (False, True)])
+def test_march_steps_through_the_module_names_it_finds_at_start(
+        desk_reduced_models, monkeypatch, state_reduced):
+    # perfbench's tracer counts state steps by patching coupling.state_step
+    # and rom.rom_state_step before a run: each side must step through the
+    # patched name once per timestep
+    prob, rops = desk_reduced_models
+    state_rops = tuple(r if red else None for r, red in zip(rops, state_reduced))
+    calls = []
+
+    def counting(kind, step):
+        def wrapper(model, u_prev, g, f, side, Bg=None):
+            calls.append((kind, side))
+            return step(model, u_prev, g, f, side, Bg)
+        return wrapper
+
+    monkeypatch.setattr(coupling, "state_step", counting("fom", coupling.state_step))
+    monkeypatch.setattr(rom, "rom_state_step", counting("rom", rom.rom_state_step))
+    coupling.run_transient(prob, coupling.CouplingConfig(supg_on=True, max_iters=50),
+                           state_rops=state_rops, adjoint_rops=state_rops)
+    kinds = ["rom" if reduced else "fom" for reduced in state_reduced]
+    assert calls == [(kinds[0], 1), (kinds[1], 2)] * prob.n_steps
+
+
 @pytest.mark.parametrize("supg_on", [True, False])
 @pytest.mark.parametrize("level", [8, 16])
 def test_exact_coupling_run_matches_the_monolithic_split(level, supg_on):

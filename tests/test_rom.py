@@ -82,6 +82,19 @@ def test_span_route_falls_back_to_thin_svd_past_span_width():
             basis.truncate(bad)
 
 
+def test_truncate_error_names_the_most_modes_a_basis_can_give():
+    # a span-route basis holds k modes but falls back to the data's SVD up
+    # to min(data.shape), so that is the limit its error names
+    sm = span_fixture(4)
+    limit = min(sm.data.shape)
+    for basis, most in ((rom.full_pod(sm), limit), (rom.full_pod(sm).truncate(3), 3),
+                        (rom.full_pod(sm.data).truncate(6), 6)):
+        basis.truncate(most)
+        with pytest.raises(InputError,
+                           match=f"cannot truncate to {most + 1} of at most {most} modes$"):
+            basis.truncate(most + 1)
+
+
 def test_span_route_rejects_data_off_its_span():
     sm = span_fixture(4)
     rng = np.random.default_rng(3)
