@@ -98,10 +98,7 @@ class OperatorSet:
 
     nu: float
     dt: float
-    side: int                      # 1 or 2 for subdomains, 0 for monolithic
-    supg_on: bool
     free_nodes: np.ndarray
-    dirichlet_nodes: np.ndarray
     M: sp.csr_matrix
     K: sp.csr_matrix
     A: sp.csr_matrix
@@ -216,8 +213,7 @@ def _assemble_volume(mesh: Mesh, advection, nu: float, dt: float, supg_on: bool)
 
 
 def assemble_operators(mesh: Mesh, dirichlet_nodes: np.ndarray, *, nu: float,
-                       dt: float, advection=None, supg_on: bool = False,
-                       side: int = 0) -> OperatorSet:
+                       dt: float, advection=None, supg_on: bool = False) -> OperatorSet:
     """Assemble all volume operators, restricted to the free DOFs.
 
     ``dirichlet_nodes`` lists the strongly constrained (zero) nodes; their
@@ -241,10 +237,8 @@ def assemble_operators(mesh: Mesh, dirichlet_nodes: np.ndarray, *, nu: float,
     def restrict(mat):
         return mat[free][:, free].tocsr()
 
-    return OperatorSet(
-        nu=nu, dt=dt, side=side, supg_on=supg_on, free_nodes=free,
-        dirichlet_nodes=dirichlet_nodes,
-        M=restrict(M), K=restrict(K), A=restrict(A), S_state=restrict(S))
+    return OperatorSet(nu=nu, dt=dt, free_nodes=free, M=restrict(M), K=restrict(K),
+                       A=restrict(A), S_state=restrict(S))
 
 
 def assemble_interface_mass(dec: Decomposition, side: int):
@@ -268,8 +262,7 @@ def subdomain_operators(dec: Decomposition, side: int, *, nu: float, dt: float,
                         advection=None, supg_on: bool = False) -> OperatorSet:
     """Assemble the full operator set for one subdomain of a decomposition."""
     ops = assemble_operators(dec.sub(side), dec.dirichlet_nodes(side), nu=nu,
-                             dt=dt, advection=advection, supg_on=supg_on,
-                             side=side)
+                             dt=dt, advection=advection, supg_on=supg_on)
     ops.M_g0, ops.M_g = assemble_interface_mass(dec, side)
     return ops
 

@@ -113,9 +113,10 @@ class BenchmarkSpec:
 
 
 def _mgd_pairs(source: str) -> int | None:
-    """The m of an adjoint source "mgd<m>", or None if source is not one."""
+    """The m >= 1 of an adjoint source "mgd<m>", or None if source is not one."""
     m = source.removeprefix("mgd")
-    return int(m) if m != source and m.isascii() and m.isdecimal() else None
+    ok = m != source and m.isascii() and m.isdecimal() and int(m) >= 1
+    return int(m) if ok else None
 
 
 @dataclass(frozen=True)

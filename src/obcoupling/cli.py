@@ -7,11 +7,13 @@ combination, produce the standard report tables, and verify the adjoint
 gradient against finite differences.
 
 Every optional flag can instead come from a JSON config file given with
---config; explicit flags override the file, and required flags (--out,
---method) must be given on the command line. Exit codes: 0 success, 1 a run
-or check failed (with --strict for non-converged coupled solves), 2 bad
-arguments or input the package rejects with an InputError; any other error
-ends with its traceback.
+--config, before or after the subcommand and abbreviated like any flag;
+explicit flags override the file, required flags (--out, --method) must be
+given on the command line, and a key the subcommand has no flag for, such
+as "config", is rejected. Exit codes: 0 success, 1 a run or check failed
+(with --strict for non-converged coupled solves), 2 bad arguments or input
+the package rejects with an InputError; any other error ends with its
+traceback.
 """
 
 from __future__ import annotations
@@ -173,6 +175,8 @@ def cmd_monolithic(args) -> int:
 
 
 def cmd_collect_adjoint(args) -> int:
+    if args.m < 1:
+        raise InputError(f"--m must be at least 1, got {args.m}")
     if args.method == "gdra":
         _reject_unread(args, ("m", "state_store"), "--method mgd")
         _reject_unread(args, ("delta", "tol"), "couple and report; GDRA reads "
@@ -294,8 +298,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, _Options]]:
     def subcommand(name, func, **kwargs) -> _Options:
         opts = table[name] = _Options(subs.add_parser(name, **kwargs))
         opts.parser.set_defaults(func=func)
-        # accept --config in either position, before or after the subcommand
-        opts.add("--config", type=str, default=None, help=argparse.SUPPRESS)
         return opts
 
     opts = subcommand("monolithic", cmd_monolithic,
@@ -357,18 +359,17 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, _Options]]:
     return parser, table
 
 
-def _apply_config(argv: list[str], parser, table) -> None:
-    """Merge JSON config values as subcommand defaults (flags still win)."""
-    path = None
-    for idx, token in enumerate(argv):
-        if token == "--config":
-            if idx + 1 >= len(argv):
-                parser.error("--config expects a path")
-            path = argv[idx + 1]
-        elif token.startswith("--config="):
-            path = token.split("=", 1)[1]
+def _apply_config(argv: list[str], parser, table) -> list[str]:
+    """Merge JSON config values as subcommand defaults (flags still win) and
+    return argv without its --config, which may stand on either side of the
+    subcommand and be abbreviated like any flag."""
+    pre = argparse.ArgumentParser(add_help=False)
+    pre.error = parser.error  # report a bad --config with the full usage
+    pre.add_argument("--config")
+    found, rest = pre.parse_known_args(argv)
+    path = found.config
     if path is None:
-        return
+        return rest
     try:
         values = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
@@ -376,18 +377,7 @@ def _apply_config(argv: list[str], parser, table) -> None:
     if not isinstance(values, dict):
         parser.error(f"config {path} must hold a JSON object")
 
-    command = None
-    skip_next = False
-    for tok in argv:
-        if skip_next:
-            skip_next = False
-            continue
-        if tok == "--config":
-            skip_next = True
-            continue
-        if not tok.startswith("-"):
-            command = tok
-            break
+    command = rest[0] if rest else None
     if command not in table:
         parser.error("config requires a subcommand")
     known = table[command]
@@ -403,6 +393,7 @@ def _apply_config(argv: list[str], parser, table) -> None:
             parser.error(f"config key {key!r} of {command} expects {want}, "
                          f"got {json.dumps(value)}")
     known.parser.set_defaults(**values)
+    return rest
 
 
 def _config_type_mismatch(action, value) -> str | None:
@@ -427,8 +418,7 @@ def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     parser, table = build_parser()
-    _apply_config(list(argv), parser, table)
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_apply_config(list(argv), parser, table))
     try:
         return args.func(args)
     except InputError as exc:  # bad input found by the library, e.g. level 5

@@ -91,9 +91,9 @@ def test_relative_errors_agree_with_monolithic_norm():
         prob.mesh, prob.mesh.boundary_nodes, nu=prob.nu, dt=prob.dt)
     rng = np.random.default_rng(11)
     full = rng.standard_normal(prob.mesh.n_nodes)
-    full[parent_ops.dirichlet_nodes] = 0.0
+    full[prob.mesh.boundary_nodes] = 0.0
     ref_full = rng.standard_normal(prob.mesh.n_nodes)
-    ref_full[parent_ops.dirichlet_nodes] = 0.0
+    ref_full[prob.mesh.boundary_nodes] = 0.0
 
     restrict = lambda v, s: v[dec.node_map(s)[dec.free_nodes(s)]]
     errs = bench.relative_errors(ops[0], ops[1],
@@ -150,7 +150,8 @@ def test_experiment_context_smoke(tmp_path):
         assert np.isfinite(row.wall_seconds)
 
 
-@pytest.mark.parametrize("source", ["banana", "mgd", "mgd²", "full"])
+@pytest.mark.parametrize("source", ["banana", "mgd", "mgd²", "full", "mgd0",
+                                    "mgd00"])
 def test_experiment_entry_rejects_unknown_adjoint_source(source):
     with pytest.raises(InputError, match="unknown adjoint source"):
         bench.ExperimentEntry("x", adjoint_modes=3, adjoint_source=source)
@@ -158,9 +159,14 @@ def test_experiment_entry_rejects_unknown_adjoint_source(source):
         assert bench.ExperimentEntry("x", adjoint_source=known).adjoint_source == known
 
 
-@pytest.mark.parametrize("source", ["state", "mgd", "mgdx", "gdra2"])
-def test_adjoint_store_rejects_a_source_it_has_no_store_for(source):
-    # "state" is a basis source, not a collection; the rest are no source at all
+@pytest.mark.parametrize("source", ["state", "mgd", "mgdx", "gdra2", "mgd0"])
+def test_adjoint_store_rejects_a_source_it_has_no_store_for(source, monkeypatch):
+    # "state" is a basis source, not a collection; the rest are no source at
+    # all, mgd0 included, and are rejected before the reference is solved
+    def no_work(*args, **kwargs):
+        raise AssertionError("the reference was solved before the source was checked")
+
+    monkeypatch.setattr(bench, "monolithic_solve", no_work)
     ctx = bench.ExperimentContext(bench.BenchmarkSpec(level=8, T=0.2))
     with pytest.raises(InputError, match=re.escape(repr(source))):
         ctx.adjoint_store(source)

@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from obcoupling import bench, cli, snapshots
 
@@ -371,6 +373,81 @@ def test_config_placement_before_subcommand(tmp_path):
     assert cli.main(["--config", str(cfg), "couple"]) == 0
 
 
+@pytest.mark.parametrize("flag", ["--config", "--conf", "--co"])
+@pytest.mark.parametrize("before", [True, False])
+def test_config_flag_may_be_abbreviated(tmp_path, capsys, flag, before):
+    # argparse's own rules find --config: abbreviated, and on either side of
+    # the subcommand; an unknown key shows that the file was read
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"level": 8, "bogus": 1}))
+    argv = [flag, str(cfg), "couple"] if before else ["couple", flag, str(cfg)]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert "config keys not accepted by couple: ['bogus']" in capsys.readouterr().err
+    cfg.write_text(json.dumps({"level": 8, "T": 0.15, "nu": 1e-3}))
+    assert cli.main(["monolithic", f"{flag}={cfg}", "--out", str(tmp_path / "d")]) == 0
+    assert "2 steps, 49 free DOFs" in capsys.readouterr().out
+
+
+def test_config_key_config_is_rejected(tmp_path, capsys):
+    # a config file names no further config file: no subcommand has a flag
+    # "config", so the key is unknown like any other
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"config": "other.json"}))
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["couple", "--config", str(cfg)])
+    assert exc.value.code == 2
+    assert "config keys not accepted by couple: ['config']" in capsys.readouterr().err
+
+
+# couple's scenario and descent flags, by dest, with valid values
+POSITIVE = st.floats(min_value=1e-300, max_value=1e300)
+COUPLE_VALUES = st.fixed_dictionaries({}, optional={
+    "level": st.integers(min_value=2, max_value=512), "nu": POSITIVE, "dt": POSITIVE,
+    "T": POSITIVE, "supg": st.booleans(),
+    "delta": st.floats(min_value=0.0, max_value=1e300), "tol": POSITIVE,
+    "alpha": POSITIVE, "max_iters": st.integers(min_value=1, max_value=10**6),
+    "warm_start": st.booleans()})
+
+
+def _as_flags(values: dict) -> list[str]:
+    flags = []
+    for dest, value in values.items():
+        if dest == "supg":
+            flags.append("--supg" if value else "--no-supg")
+        elif dest == "warm_start":
+            flags += [] if value else ["--no-warm-start"]
+        else:
+            flags += [f"--{dest.replace('_', '-')}", repr(value)]
+    return flags
+
+
+def _couple_spec(argv: list[str]) -> bench.BenchmarkSpec:
+    # the parse of cli.main, without the run
+    parser, table = cli.build_parser()
+    args = parser.parse_args(cli._apply_config(argv, parser, table))
+    return cli._benchmark_spec(args)
+
+
+@settings(max_examples=60, deadline=None)
+@given(in_file=COUPLE_VALUES, on_line=COUPLE_VALUES,
+       flag=st.sampled_from(["--config", "--conf", "--co"]), before=st.booleans())
+def test_config_and_flags_give_the_same_spec(tmp_path_factory, in_file, on_line,
+                                             flag, before):
+    # a config key sets what its flag sets, from either side of the
+    # subcommand, and a flag on the command line beats the key
+    if on_line.get("warm_start"):  # no flag sets it to true, only --no-warm-start
+        del on_line["warm_start"]
+    cfg = tmp_path_factory.mktemp("cfg") / "cfg.json"
+    cfg.write_text(json.dumps(in_file))
+    config = [flag, str(cfg)]
+    argv = ([*config, "couple", *_as_flags(on_line)] if before
+            else ["couple", *_as_flags(on_line), *config])
+    assert _couple_spec(argv) == _couple_spec(["couple",
+                                               *_as_flags({**in_file, **on_line})])
+
+
 @pytest.mark.parametrize("argv, message", [
     (["monolithic", "--level", "5", "--out", "{tmp}/ref"], "level must be even"),
     (["collect-adjoint", "--level", "5", "--method", "gdra",
@@ -402,6 +479,12 @@ def test_config_placement_before_subcommand(tmp_path):
     # a NaN or negative tolerance would fail or pass every trial vacuously
     (["gradcheck", "--check-tol", "nan"], "--check-tol must be finite and nonnegative"),
     (["gradcheck", "--check-tol", "-1"], "--check-tol must be finite and nonnegative"),
+    # no collection has fewer than one MGD pair per step: --m is named before
+    # the state store is read
+    (["collect-adjoint", "--method", "mgd", "--m", "0", "--state-store", "{tmp}",
+      "--out", "{tmp}/adj"], "--m must be at least 1, got 0"),
+    (["collect-adjoint", "--method", "mgd", "--m", "-1", "--state-store", "{tmp}",
+      "--out", "{tmp}/adj"], "--m must be at least 1, got -1"),
 ])
 def test_library_value_errors_exit_2(tmp_path, capsys, argv, message):
     argv = [arg.format(tmp=tmp_path) for arg in argv]

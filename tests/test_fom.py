@@ -194,7 +194,6 @@ def test_problem_builds_each_sides_operators_once():
     assert prob.operators(1, True) is ops
     assert prob.operators(1, False) is not ops
     assert prob.operators(2, True) is not ops
-    assert (ops.side, ops.supg_on) == (1, True)
     want = assembly.subdomain_operators(prob.decomposition, 1, nu=prob.nu,
                                         dt=prob.dt, advection=rotation,
                                         supg_on=True)
