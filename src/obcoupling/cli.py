@@ -362,14 +362,17 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, _Options]]:
 def _apply_config(argv: list[str], parser, table) -> list[str]:
     """Merge JSON config values as subcommand defaults (flags still win) and
     return argv without its --config, which may stand on either side of the
-    subcommand and be abbreviated like any flag."""
+    subcommand and be abbreviated like any flag. A second --config is an
+    error: one file holds a run's settings."""
     pre = argparse.ArgumentParser(add_help=False)
     pre.error = parser.error  # report a bad --config with the full usage
-    pre.add_argument("--config")
+    pre.add_argument("--config", action="append")
     found, rest = pre.parse_known_args(argv)
-    path = found.config
-    if path is None:
+    if found.config is None:
         return rest
+    if len(found.config) > 1:
+        parser.error(f"--config given {len(found.config)} times; pass one file")
+    path = found.config[0]
     try:
         values = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from obcoupling import assembly
+from obcoupling import assembly, linalg
 from obcoupling.errors import InputError
 from obcoupling.geometry import Decomposition, Mesh
 
@@ -112,7 +112,8 @@ def monolithic_solve(problem: ProblemSpec, *, supg_on: bool = False) -> Trajecto
 
     for n in range(1, n_steps + 1):
         t = n * problem.dt
-        rhs = ops.M @ u / problem.dt
+        rhs = linalg.csr_matvec(ops.M, u)
+        rhs /= problem.dt
         if problem.f is not None:
             rhs += assembly.assemble_load(mesh, ops.free_nodes, problem.f, t)
         u = fact.solve(rhs)
@@ -125,10 +126,11 @@ def state_step(ops: assembly.OperatorSet, u_prev: np.ndarray, g: np.ndarray,
                Bg: np.ndarray | None = None) -> np.ndarray:
     """One implicit Euler step of a subdomain with interface control g.
 
+    ``u_prev`` is a float64 array (``linalg.csr_matvec`` forms M u_prev).
     ``Bg``, when given, must be ``ops.M_g0 @ g`` as that expression computes
     it; it stands in for the step's own product.
     """
-    rhs = ops.M @ u_prev
+    rhs = linalg.csr_matvec(ops.M, u_prev)
     rhs /= ops.dt
     if f_free is not None:
         rhs += f_free

@@ -244,7 +244,7 @@ def backward_euler_dense(M, K, A, free, nu, dt, u0_full, n_steps, S=None):
 
 def descent_timestep(j0: np.ndarray, R: np.ndarray, G: np.ndarray, g0: np.ndarray,
                      config: CouplingConfig, M_g, *, recorder=None,
-                     step_index: int = 0, Rg=None, penalty=None):
+                     step_index: int = 0, Rg=None, penalty=None, blocks=None):
     """Minimize the interface objective for one timestep in interface space.
 
     The jump at control g is j0 + R g and the adjoint trace difference of a
@@ -256,8 +256,9 @@ def descent_timestep(j0: np.ndarray, R: np.ndarray, G: np.ndarray, g0: np.ndarra
     move it. A step whose starting J is not finite makes no trial.
     ``recorder(step_index, jump)`` is invoked for every direction with the
     control-ordered jump it was formed from; the array is valid only during
-    the call. ``Rg`` and ``penalty``, which the package's march passes,
-    are ignored: this descent forms its own products.
+    the call. ``Rg``, ``penalty`` and ``blocks``, which the package's march
+    passes, are ignored: this descent forms its own products, one trial at
+    a time.
     """
     t_start = time.perf_counter()
     delta, tol = config.delta, config.tol

@@ -130,6 +130,17 @@ def test_report_csv_is_deterministic(tmp_path):
     assert "wall_seconds" in pt.read_text().splitlines()[0]
 
 
+def test_level_16_report_keeps_its_decisions():
+    # report --level 16 --T 2.0: every row's trial count and convergence,
+    # the same with one and with two BLAS threads. The descent's blocks and
+    # the reduced bases may move roundoff, never these decisions
+    rows = bench.run_experiment(bench.BenchmarkSpec(level=16, T=2.0),
+                                bench.standard_entries())
+    assert [(r.label, r.total_iterations, r.all_converged) for r in rows] == [
+        ("fom-fom", 754, True), ("rs-fa-100", 1218, True),
+        ("rs-fa-50", 10475, True), ("rom-rom-100-50", 1218, True)]
+
+
 def test_experiment_context_smoke(tmp_path):
     spec = bench.BenchmarkSpec(level=8, nu=1e-3, dt=5e-2, T=0.5,
                                config=coupling.CouplingConfig(delta=1e-12, tol=1e-10))

@@ -390,6 +390,24 @@ def test_config_flag_may_be_abbreviated(tmp_path, capsys, flag, before):
     assert "2 steps, 49 free DOFs" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("second", [["--config"], ["--conf"], ["couple", "--co"]])
+def test_config_given_twice_is_rejected(tmp_path, capsys, second):
+    # a second --config would drop the first file unread; nothing runs or
+    # is written
+    bad, good = tmp_path / "bad.json", tmp_path / "c.json"
+    bad.write_text(json.dumps({"bogus": 1}))
+    good.write_text(json.dumps({"level": 8, "T": 0.15, "nu": 1e-3}))
+    head = ["monolithic"] if second[0] != "couple" else []
+    argv = [*head, "--config", str(bad), *second, str(good)]
+    if head:
+        argv += ["--out", str(tmp_path / "d2")]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert "--config given 2 times" in capsys.readouterr().err
+    assert not (tmp_path / "d2").exists()
+
+
 def test_config_key_config_is_rejected(tmp_path, capsys):
     # a config file names no further config file: no subcommand has a flag
     # "config", so the key is unknown like any other

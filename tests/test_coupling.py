@@ -1,4 +1,5 @@
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -323,9 +324,199 @@ def test_descent_matches_the_oracle_at_stagnation_and_non_finite_starts():
                                           cfg, M_g)
 
 
+def spy_blocks(monkeypatch):
+    """Record (size, accepted) of every block DescentBlocks.advance prices."""
+    priced = []
+    advance = coupling.DescentBlocks.advance
+
+    def spy(self, g, alpha, size, obj, tol):
+        accepted = advance(self, g, alpha, size, obj, tol)
+        priced.append((size, accepted))
+        return accepted
+
+    monkeypatch.setattr(coupling.DescentBlocks, "advance", spy)
+    return priced
+
+
+# A blocked step takes the decisions of the sequential loop; its iterates
+# come from powers of the fixed iteration instead of the recurrence, so they
+# agree to roundoff. Bound on the relative difference of controls and states.
+BLOCKED_RTOL = 1e-10
+
+
+def decisions(res):
+    return [(s.iterations, s.directions, s.alpha_reductions, s.stop_reason)
+            for s in res.stats]
+
+
+def assert_blocked_march_matches(got, want):
+    """Equal per-step decisions; controls, finals and objectives to roundoff."""
+    assert decisions(got) == decisions(want)
+    for a, b in ((got.control.values, want.control.values),
+                 (got.final_1, want.final_1), (got.final_2, want.final_2)):
+        assert np.abs(a - b).max() <= BLOCKED_RTOL * np.abs(b).max()
+    for s, t in zip(got.stats, want.stats):
+        assert abs(s.objective - t.objective) <= 1e-6 * t.objective
+
+
+def contracting_instance(seed, n, spread):
+    """(j0, R, G, g0, M_g) whose G R has real eigenvalues in the band
+    ``spread`` = (low, high), well conditioned eigenvectors and an SPD M_g."""
+    rng = np.random.default_rng(seed)
+    R = rng.standard_normal((n, n)) + 2.0 * np.sqrt(n) * np.eye(n)
+    V = np.linalg.qr(rng.standard_normal((n, n)))[0] + 0.3 * rng.standard_normal((n, n))
+    lam = rng.uniform(*spread, n)
+    G = (V * lam) @ np.linalg.inv(V) @ np.linalg.inv(R)
+    B = rng.standard_normal((n, n))
+    M_g = B @ B.T + n * np.eye(n)
+    j0 = rng.standard_normal(n)
+    g0 = rng.standard_normal(n) if seed % 2 else np.zeros(n)
+    return j0, R, G, g0, M_g
+
+
+# (alpha0, eigenvalue band of G R): a contraction at alpha0, a contraction
+# that needs one halving, and the full-order level-32 band, whose steps
+# creep with T's eigenvalues near -1 until one rejection
+REGIMES = [(1.0, (0.2, 0.9)), (2.0, (0.4, 1.6)), (2.0, (0.989, 1.02))]
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(2, 9), seed=st.integers(0, 2**32 - 1),
+       regime=st.sampled_from(REGIMES), delta=st.sampled_from([0.0, 1e-16]),
+       digits=st.integers(3, 12), max_iters=st.integers(1, 300))
+def test_blocked_descent_takes_the_sequential_decisions(n, seed, regime, delta,
+                                                        digits, max_iters):
+    # the same trials, directions, halvings and stop as the sequential loop,
+    # with the control equal to roundoff; stacks are built at once
+    alpha0, spread = regime
+    j0, R, G, g0, M_g = contracting_instance(seed, n, spread)
+    J0 = coupling._objective_from_jump(j0 + R @ g0, g0, delta, M_g)
+    cfg = coupling.CouplingConfig(delta=delta, tol=J0 * 10.0 ** -digits,
+                                  alpha0=alpha0, max_iters=max_iters)
+    g_seq, seq = coupling.descent_timestep(j0, R, G, g0, cfg, M_g)
+    with mock.patch.object(coupling, "STACK_PAYBACK", 0):
+        g_blk, blk = coupling.descent_timestep(
+            j0, R, G, g0, cfg, M_g, blocks=coupling.DescentBlocks(R, G, M_g, delta))
+    assert ((blk.iterations, blk.directions, blk.alpha_reductions, blk.stop_reason)
+            == (seq.iterations, seq.directions, seq.alpha_reductions, seq.stop_reason))
+    assert np.abs(g_blk - g_seq).max() <= BLOCKED_RTOL * np.abs(g_seq).max()
+    # the returned J is priced with _objective_from_jump's products
+    assert blk.objective == coupling._objective_from_jump(j0 + R @ g_blk, g_blk,
+                                                          delta, M_g)
+    assert blk.converged == (blk.objective < cfg.tol)
+
+
+@pytest.mark.parametrize("regime", [(1.0, (0.02, 0.05)), (2.0, (0.985, 0.995))])
+def test_blocked_descent_stops_at_the_cap(monkeypatch, regime):
+    # a step cut at max_iters reports exactly max_iters trials, and no block
+    # prices more iterates than the cap leaves; J falls by a few percent per
+    # trial, with T's eigenvalues near 1 or near -1
+    alpha0, spread = regime
+    j0, R, G, g0, M_g = contracting_instance(7, 8, spread)
+    monkeypatch.setattr(coupling, "STACK_PAYBACK", 0)
+    priced = spy_blocks(monkeypatch)
+    cfg = coupling.CouplingConfig(delta=1e-16, tol=1e-300, alpha0=alpha0)
+    full = coupling.descent_timestep(j0, R, G, g0, cfg, M_g)[1].iterations
+    assert full > 40
+    for max_iters in range(1, 41):
+        cfg = dataclasses.replace(cfg, max_iters=max_iters)
+        del priced[:]
+        _, seq = coupling.descent_timestep(j0, R, G, g0, cfg, M_g)
+        _, blk = coupling.descent_timestep(
+            j0, R, G, g0, cfg, M_g, blocks=coupling.DescentBlocks(R, G, M_g, 1e-16))
+        assert blk.iterations == seq.iterations == max_iters
+        assert blk.stop_reason == seq.stop_reason == "max_iters"
+        assert sum(m for _, m in priced) <= max_iters
+        assert all(size <= max_iters for size, _ in priced)
+    assert priced
+
+
+@settings(max_examples=300, deadline=None)
+@given(obj=st.floats(1e-300, 1e300), rate=st.floats(0.0, 2.0),
+       streak=st.integers(0, 10**6), tol=st.floats(1e-300, 1e300),
+       left=st.integers(1, 10**6))
+def test_block_size_stays_within_the_cap_and_its_bounds(obj, rate, streak, tol, left):
+    last = obj / rate if rate > 0.0 else np.inf
+    size = coupling._block_size(obj, last, streak, min(tol, obj), left)
+    assert size == 0 or coupling.BLOCK_MIN <= size <= min(coupling.BLOCK_CAP, left)
+
+
+def test_a_block_ending_near_tol_hands_the_step_back(monkeypatch):
+    # with a margin this wide a block stops at the first iterate whose J is
+    # below 1.5 tol; when its J, priced again the sequential way, is not
+    # below tol, the loop continues and decides as the sequential one would
+    monkeypatch.setattr(coupling, "STACK_PAYBACK", 0)
+    monkeypatch.setattr(coupling, "BLOCK_RTOL", 0.5)
+    handed_back = 0
+    advance = coupling.DescentBlocks.advance
+
+    def spy(self, g, alpha, size, obj, tol):
+        nonlocal handed_back
+        accepted = advance(self, g, alpha, size, obj, tol)
+        if accepted and self._values[accepted - 1] >= tol:
+            handed_back += 1
+        return accepted
+
+    monkeypatch.setattr(coupling.DescentBlocks, "advance", spy)
+    for seed in range(40):
+        j0, R, G, g0, M_g = contracting_instance(seed, 6, (0.6, 0.75))
+        J0 = coupling._objective_from_jump(j0 + R @ g0, g0, 0.0, M_g)
+        cfg = coupling.CouplingConfig(delta=0.0, tol=J0 * 1e-9, alpha0=1.0)
+        _, seq = coupling.descent_timestep(j0, R, G, g0, cfg, M_g)
+        g, blk = coupling.descent_timestep(
+            j0, R, G, g0, cfg, M_g, blocks=coupling.DescentBlocks(R, G, M_g, 0.0))
+        assert (blk.iterations, blk.stop_reason) == (seq.iterations, "tol")
+        assert blk.objective == coupling._objective_from_jump(j0 + R @ g, g, 0.0, M_g)
+    assert handed_back > 0
+
+
+@pytest.mark.parametrize("history", [True, False])
+def test_recording_descents_ignore_blocks_bitwise(monkeypatch, history):
+    # GDRA's recorder and record_history need every direction and every J,
+    # so with either the descent runs the sequential loop, stacks or not
+    monkeypatch.setattr(coupling, "STACK_PAYBACK", 0)
+    priced = spy_blocks(monkeypatch)
+    j0, R, G, g0, M_g = contracting_instance(3, 8, (0.985, 0.995))
+    cfg = coupling.CouplingConfig(delta=1e-16, tol=1e-12, record_history=history)
+    blocks = coupling.DescentBlocks(R, G, M_g, 1e-16)
+
+    def blocked(*args, **kwargs):
+        return coupling.descent_timestep(*args, blocks=blocks, **kwargs)
+
+    assert (descent_record(blocked, j0, R, G, g0, cfg, M_g)
+            == descent_record(oracles.descent_timestep, j0, R, G, g0, cfg, M_g))
+    assert not priced
+    if not history:  # and without a recorder the same call prices blocks
+        coupling.descent_timestep(j0, R, G, g0, cfg, M_g, blocks=blocks)
+        assert priced
+
+
+def test_march_with_recorded_history_matches_the_oracle_bitwise(desk_reduced_models,
+                                                                monkeypatch):
+    # criterion 9's setting: accepted objectives kept, no recorder; the
+    # march builds no stacks and returns the oracle march's bits
+    prob, rops = desk_reduced_models
+    monkeypatch.setattr(coupling, "STACK_PAYBACK", 0)
+    priced = spy_blocks(monkeypatch)
+    cfg = coupling.CouplingConfig(supg_on=True, max_iters=500, record_history=True)
+    kw = {"state_rops": (rops[0], None), "adjoint_rops": (None, rops[1])}
+    got = coupling.run_transient(prob, cfg, **kw)
+    want = oracles.run_transient(prob, cfg, **kw)
+    assert not priced
+    assert decisions(got) == decisions(want)
+    for a, b in ((got.control.values, want.control.values), (got.final_1, want.final_1),
+                 (got.final_2, want.final_2), (got.traj_1, want.traj_1)):
+        assert a.tobytes() == b.tobytes()
+    assert ([s.accepted_objectives for s in got.stats]
+            == [s.accepted_objectives for s in want.stats])
+
+
 def test_transient_runs_match_the_oracle_descent_bitwise(monkeypatch):
     # FOM-FOM, ROM-ROM and mixed halves at level 8 over 20 steps at the
-    # paper's tolerance: controls, finals and stats as with the old loop
+    # paper's tolerance: controls, finals and stats as with the old loop.
+    # A run that priced a block of trials takes every decision of the old
+    # loop, with controls and states equal to roundoff; one that priced none
+    # returns its bits
     prob = desk_problem(n_steps=20)
     dec = prob.decomposition
     mono = fom.monolithic_solve(prob, supg_on=True)
@@ -346,11 +537,21 @@ def test_transient_runs_match_the_oracle_descent_bitwise(monkeypatch):
         return (res.control.values.tobytes(), res.final_1.tobytes(),
                 res.final_2.tobytes(), stats)
 
-    got = {name: record(coupling.run_transient(prob, cfg, **kw))
-           for name, kw in runs.items()}
+    priced = spy_blocks(monkeypatch)
+    got, blocked = {}, {}
+    for name, kw in runs.items():
+        del priced[:]
+        got[name] = coupling.run_transient(prob, cfg, **kw)
+        blocked[name] = sum(m for _, m in priced)
+    # the descents are long enough that some runs price blocks
+    assert any(blocked.values())
     monkeypatch.setattr(coupling, "descent_timestep", oracles.descent_timestep)
     for name, kw in runs.items():
-        assert got[name] == record(coupling.run_transient(prob, cfg, **kw)), name
+        want = coupling.run_transient(prob, cfg, **kw)
+        if blocked[name]:
+            assert_blocked_march_matches(got[name], want)
+        else:
+            assert record(got[name]) == record(want), name
 
 
 @pytest.fixture(scope="module")
