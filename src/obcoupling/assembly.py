@@ -23,6 +23,31 @@ SUPG stabilization adds, per element,
 with tau_e = ((2/dt)^2 + (2|a|/h_e)^2 + (9 * 4 nu / h_e^2)^2)^(-1/2), |a| taken
 at the element center and h_e = sqrt(hx*hy). It enters the left-hand sides
 only; with a = 0 the stabilization vanishes identically.
+
+One pattern per mesh. Every volume operator lives on the mesh's 9-point
+pattern restricted to the free DOFs: the entries (r, c) of two free nodes
+that share an element. ``assemble_operators`` builds that pattern once, from
+the grid and with no sort: a row's columns are its free neighbours in
+(dy, dx) order, and the elements that hold an entry are among the four
+around the row node, taken in element order. M, K, A and S_state are
+gathers of element entries onto the pattern, each entry's contributions
+summed in element order, and ``OperatorSet.state_matrix`` sums the four on
+the same pattern.
+
+Every CSR array (data, indices, indptr and their dtypes) is byte-identical
+to scipy's route: COO triplets of the full mesh, row and column restriction
+to the free nodes, and sparse sums (``tests/oracles.py`` keeps that route as
+the byte oracle). The gathers follow scipy's rules:
+
+- COO to CSR sums a row's duplicates in input order. A row holds at most
+  16 triplets, and scipy's sort of a row that short is a stable insertion
+  sort, so each entry's at most four contributions add up in element order.
+- M and K keep exact zeros; A and S drop them, as ``eliminate_zeros`` does.
+- ``M / dt`` is ``M.data * (1 / dt)`` and ``nu * K`` is ``K.data * nu``.
+- A sparse sum adds an absent entry as 0 and drops entries that sum to
+  exactly zero; NaN is kept.
+
+An absent contribution is gathered as -0.0, the exact additive identity.
 """
 
 from __future__ import annotations
@@ -57,6 +82,38 @@ def _shape_gradients(xi: float, eta: float) -> np.ndarray:
         [(1 + eta), (1 + xi)],
         [-(1 + eta), (1 - xi)],
     ])
+
+
+# (shapes, their outer product, reference gradients) at each Gauss point
+_QUADRATURE = tuple((_shape_values(xi, eta),
+                     np.outer(_shape_values(xi, eta), _shape_values(xi, eta)),
+                     _shape_gradients(xi, eta)) for xi, eta in _GAUSS_POINTS)
+
+# The nine neighbours (dx, dy) of a node, in column order.
+_NEIGHBOURS = [(dx, dy) for dy in (-1, 0, 1) for dx in (-1, 0, 1)]
+# Local entries are 4 k + j for element corners k, j in [BL, BR, TR, TL];
+# entry 16 stands for "no contribution".
+_ABSENT = 16
+
+
+def _local_entries() -> np.ndarray:
+    """(4, 9): the local entry that element q around a node holds for the
+    node and its neighbour d, or _ABSENT if q does not hold the neighbour.
+
+    Element q = a + 2 b around node (i, j) is element (i - 1 + a, j - 1 + b),
+    so q runs in element order, and the node is its corner (1 - a, 1 - b).
+    """
+    corner = {(0, 0): 0, (1, 0): 1, (1, 1): 2, (0, 1): 3}
+    table = np.full((4, 9), _ABSENT, dtype=np.int64)
+    for d, (dx, dy) in enumerate(_NEIGHBOURS):
+        for q in range(4):
+            px, py = 1 - q % 2, 1 - q // 2
+            if (px + dx, py + dy) in corner:
+                table[q, d] = 4 * corner[px, py] + corner[px + dx, py + dy]
+    return table
+
+
+_LOCAL_ENTRIES = _local_entries()
 
 
 @dataclass(frozen=True)
@@ -105,17 +162,33 @@ class OperatorSet:
     S_state: sp.csr_matrix
     M_g0: sp.csr_matrix | None = None   # (n_free, n_control) interface mass
     M_g: sp.csr_matrix | None = None    # (n_control, n_control) control mass
-    _state_fact: linalg.Factorization | None = field(default=None, repr=False)
-    _trace_response: TraceResponse | None = field(default=None, repr=False)
+    # caches of this set's own operators: ``dataclasses.replace`` drops them
+    _on_pattern: _StateSum | None = field(default=None, init=False, repr=False,
+                                          compare=False)
+    _state_fact: linalg.Factorization | None = field(default=None, init=False,
+                                                     repr=False, compare=False)
+    _trace_response: TraceResponse | None = field(default=None, init=False,
+                                                  repr=False, compare=False)
 
     @property
     def n_free(self) -> int:
         return self.free_nodes.size
 
     def state_matrix(self) -> sp.csr_matrix:
-        """M/dt + nu K + A + S_state; InputError if an entry is not finite."""
-        with np.errstate(over="ignore"):  # the sum's entries are checked instead
-            L = (self.M / self.dt + self.nu * self.K + self.A + self.S_state).tocsr()
+        """M/dt + nu K + A + S_state; InputError if an entry is not finite.
+
+        Summed on the pattern of M when the four operators are the ones
+        assembled with this set, else by scipy's sparse sum; both give the
+        same bytes.
+        """
+        terms = (self.M, self.K, self.A, self.S_state)
+        # the sum's entries are checked instead
+        with np.errstate(over="ignore", invalid="ignore"):
+            if self._on_pattern is not None and self._on_pattern.holds(terms):
+                L = self._on_pattern.state_matrix(self.nu, self.dt)
+            else:
+                L = (self.M / self.dt + self.nu * self.K + self.A
+                     + self.S_state).tocsr()
         if not np.isfinite(L.data).all():
             raise InputError(f"state matrix overflows at nu={self.nu}, dt={self.dt}")
         return L
@@ -153,92 +226,199 @@ class OperatorSet:
         return self._trace_response
 
 
-def _assemble_volume(mesh: Mesh, advection, nu: float, dt: float, supg_on: bool):
-    """Element loops for M, K, A, S_state over the full node space."""
+@dataclass(frozen=True)
+class _StateSum:
+    """Where A and S_state sit on the pattern of M and K, for the state sum."""
+
+    terms: tuple      # (M, K, A, S_state) as assembled
+    in_a: np.ndarray  # (nnz,) bool: the pattern entries A holds
+    in_s: np.ndarray  # (nnz,) bool: the pattern entries S_state holds
+
+    def holds(self, terms) -> bool:
+        return all(a is b for a, b in zip(self.terms, terms))
+
+    def state_matrix(self, nu: float, dt: float) -> sp.csr_matrix:
+        M, K, A, S = self.terms
+        values = M.data * (1 / dt)
+        values += K.data * nu
+        values[self.in_a] += A.data
+        values[self.in_s] += S.data
+        return _nonzero_csr(values, M.indptr, M.indices, M.shape)
+
+
+def _nonzero_csr(values, indptr, indices, shape) -> sp.csr_matrix:
+    """The entries of a CSR pattern whose value is not exactly zero; takes
+    ``values`` over."""
+    out = sp.csr_matrix((values, indices.copy(), indptr.copy()), shape=shape)
+    out.eliminate_zeros()
+    return out
+
+
+@dataclass(frozen=True)
+class _FreePattern:
+    """The 9-point pattern of a mesh on its free DOFs, in CSR order, and
+    where each entry's contributions sit in an element entry table.
+
+    An element entry table is a (17, n_el + 1) array: entry 4 k + j of
+    element e at [4 k + j, e], and -0.0 in row 16 and in column n_el, the
+    phantom element beyond the mesh's edge.
+    """
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    where: np.ndarray   # (4, nnz) flat table index of each entry's q-th term
+
+    @classmethod
+    def build(cls, mesh: Mesh, free: np.ndarray, node_to_free: np.ndarray):
+        nx, ny, n_el = mesh.nx, mesh.ny, mesh.n_elements
+        padded = np.zeros((ny + 3, nx + 3), dtype=bool)
+        padded[1:-1, 1:-1] = (node_to_free >= 0).reshape(ny + 1, nx + 1)
+        # keep[node, d]: the node and its neighbour d are both free nodes
+        keep = np.empty((ny + 1, nx + 1, 9), dtype=bool)
+        for d, (dx, dy) in enumerate(_NEIGHBOURS):
+            keep[:, :, d] = padded[1 + dy:ny + 2 + dy, 1 + dx:nx + 2 + dx]
+        keep &= padded[1:-1, 1:-1, None]
+        node, d = np.divmod(np.flatnonzero(keep), 9)
+
+        idx = np.int32 if max(node.size, free.size) < 2 ** 31 else np.int64
+        indptr = np.empty(free.size + 1, dtype=idx)
+        indptr[:-1] = np.searchsorted(node, free)  # a free row holds its diagonal
+        indptr[-1] = node.size
+        offsets = np.array([dy * (nx + 1) + dx for dx, dy in _NEIGHBOURS])
+        indices = node_to_free[node + offsets[d]].astype(idx)
+
+        # the four elements around each node, in element order
+        grid = np.full((ny + 2, nx + 2), n_el, dtype=np.int64)
+        grid[1:-1, 1:-1] = np.arange(n_el).reshape(ny, nx)
+        around = np.stack([grid[q // 2:q // 2 + ny + 1, q % 2:q % 2 + nx + 1]
+                           for q in range(4)]).reshape(4, -1)
+        where = np.take(_LOCAL_ENTRIES, d, axis=1) * (n_el + 1)
+        where += np.take(around, node, axis=1)
+        return cls(indptr=indptr, indices=indices, where=where)
+
+    def sums(self, table: np.ndarray) -> np.ndarray:
+        """Per pattern entry, its terms of an element entry table summed in
+        element order."""
+        terms = table.ravel().take(self.where)
+        out = terms[0] + terms[1]
+        out += terms[2]
+        out += terms[3]
+        return out
+
+
+def _entry_table(entries: np.ndarray, n_el: int) -> np.ndarray:
+    """The element entry table (see _FreePattern) of (4, 4, n_el) entries,
+    or of (4, 4, 1) entries that every element shares."""
+    table = np.full((17, n_el + 1), -0.0)
+    table[:16, :n_el] = entries.reshape(16, -1)
+    return table
+
+
+def _field_at(advection, x: np.ndarray, y: np.ndarray):
+    """The advection field's two components at the points, each of their
+    shape (a constant broadcasts, any other shape is a ValueError)."""
+    ax, ay = advection(x, y)
+    return np.broadcast_to(ax, x.shape), np.broadcast_to(ay, y.shape)
+
+
+def _element_tables(mesh: Mesh, advection, nu: float, dt: float, supg_on: bool):
+    """Element entry tables of M, K, A and S_state by 2x2 Gauss quadrature;
+    A and S_state are None where they vanish identically. InputError if the
+    advection field gives a value that is not finite."""
     hx, hy = mesh.hx, mesh.hy
-    corners = mesh.coords[mesh.elements[:, 0]]  # bottom-left corner per element
+    nx, ny, n_el = mesh.nx, mesh.ny, mesh.n_elements
+    # bottom-left corner per element
+    cx = mesh.coords[:, 0].reshape(ny + 1, nx + 1)[:-1, :-1].ravel()
+    cy = mesh.coords[:, 1].reshape(ny + 1, nx + 1)[:-1, :-1].ravel()
     jac = hx * hy / 4.0
-    n_el = mesh.n_elements
 
     m_el = np.zeros((4, 4))
     k_el = np.zeros((4, 4))
-    a_el = np.zeros((n_el, 4, 4))
-    s_el = np.zeros((n_el, 4, 4))
-
+    a_el = np.zeros((4, 4, n_el)) if advection is not None else None
+    s_el = tau = None
     if advection is not None and supg_on:
-        cx = corners[:, 0] + hx / 2.0
-        cy = corners[:, 1] + hy / 2.0
-        acx, acy = advection(cx, cy)
-        a_mag = np.hypot(np.broadcast_to(acx, cx.shape),
-                         np.broadcast_to(acy, cy.shape))
+        s_el = np.zeros((4, 4, n_el))
+        a_mag = np.hypot(*_field_at(advection, cx + hx / 2.0, cy + hy / 2.0))
         h_e = np.sqrt(hx * hy)
         tau = 1.0 / np.sqrt((2.0 / dt) ** 2 + (2.0 * a_mag / h_e) ** 2
                             + (9.0 * 4.0 * nu / h_e ** 2) ** 2)
-    else:
-        tau = None
 
-    for xi, eta in _GAUSS_POINTS:
-        shapes = _shape_values(xi, eta)                  # (4,)
-        ref_grad = _shape_gradients(xi, eta)             # (4, 2)
-        grad = np.column_stack([ref_grad[:, 0] * 2.0 / hx,
-                                ref_grad[:, 1] * 2.0 / hy])  # physical gradients
-
-        m_el += jac * np.outer(shapes, shapes)
+    for (xi, eta), (shapes, outer, ref_grad) in zip(_GAUSS_POINTS, _QUADRATURE):
+        grad = ref_grad * 2.0 / np.array([hx, hy])   # physical gradients (4, 2)
+        m_el += jac * outer
         k_el += jac * (grad @ grad.T)
 
         if advection is not None:
-            xq = corners[:, 0] + (xi + 1.0) * hx / 2.0
-            yq = corners[:, 1] + (eta + 1.0) * hy / 2.0
-            ax, ay = advection(xq, yq)
-            ax = np.broadcast_to(ax, xq.shape)
-            ay = np.broadcast_to(ay, yq.shape)
-            # a . grad phi_j at this quadrature point, per element: (n_el, 4)
-            adv_j = ax[:, None] * grad[None, :, 0] + ay[:, None] * grad[None, :, 1]
+            ax, ay = _field_at(advection, cx + (xi + 1.0) * hx / 2.0,
+                               cy + (eta + 1.0) * hy / 2.0)
+            # a . grad phi_j at this quadrature point, (4, n_el)
+            adv = ax * grad[:, 0, None] + ay * grad[:, 1, None]
             # A[k, j] += |J| phi_k (a . grad phi_j)
-            a_el += jac * shapes[None, :, None] * adv_j[:, None, :]
+            a_el += (jac * shapes)[:, None, None] * adv
             if tau is not None:
-                trial = shapes[None, None, :] / dt + adv_j[:, None, :]
-                s_el += (jac * tau[:, None, None]) * adv_j[:, :, None] * trial
+                trial = (shapes / dt)[:, None] + adv
+                s_el += ((jac * tau) * adv)[:, None, :] * trial
 
-    rows = np.repeat(mesh.elements, 4, axis=1).ravel()
-    cols = np.tile(mesh.elements, (1, 4)).ravel()
-    n = mesh.n_nodes
-    M = linalg.from_triplets(n, n, rows, cols, np.tile(m_el.ravel(), n_el))
-    K = linalg.from_triplets(n, n, rows, cols, np.tile(k_el.ravel(), n_el))
-    A = linalg.from_triplets(n, n, rows, cols, a_el.reshape(n_el, -1).ravel())
-    S = linalg.from_triplets(n, n, rows, cols, s_el.reshape(n_el, -1).ravel())
-    A.eliminate_zeros()
-    S.eliminate_zeros()
-    return M, K, A, S
+    # every field value enters A (and the center values tau), so a NaN or
+    # infinite one leaves a non-finite entry there
+    if advection is not None and not (np.isfinite(a_el).all() and (
+            tau is None or np.isfinite(a_mag).all())):
+        name = getattr(advection, "__qualname__", repr(advection))
+        raise InputError(f"advection field {name} gives NaN or infinite values")
+    return [None if el is None else _entry_table(el, n_el)
+            for el in (m_el[:, :, None], k_el[:, :, None], a_el, s_el)]
+
+
+def _node_indices(nodes, n_nodes: int) -> np.ndarray:
+    """Validated 1-D integer node indices in [0, n_nodes)."""
+    arr = np.asarray(nodes)
+    if arr.ndim != 1 or (arr.size and (
+            arr.dtype.kind not in "iu" or arr.min() < 0 or arr.max() >= n_nodes)):
+        raise InputError(f"dirichlet_nodes must be 1-D integer node indices in "
+                         f"[0, {n_nodes}), got {arr!r}")
+    return arr.astype(np.int64)
 
 
 def assemble_operators(mesh: Mesh, dirichlet_nodes: np.ndarray, *, nu: float,
                        dt: float, advection=None, supg_on: bool = False) -> OperatorSet:
     """Assemble all volume operators, restricted to the free DOFs.
 
-    ``dirichlet_nodes`` lists the strongly constrained (zero) nodes; their
-    rows and columns are eliminated. Settings whose coefficients overflow
-    (1/dt, the SUPG tau, or the advection field) raise InputError.
+    ``dirichlet_nodes`` lists the strongly constrained (zero) nodes as 1-D
+    integer indices into the mesh; their rows and columns are eliminated.
+    Malformed indices, an advection field with non-finite values and
+    settings whose coefficients overflow (1/dt, the SUPG tau, or the
+    advection field) raise InputError.
     """
     if not (math.isfinite(nu) and math.isfinite(dt)) or nu < 0 or dt <= 0:
         raise InputError(f"need finite nu >= 0 and dt > 0, got nu={nu}, dt={dt}")
-    dirichlet_nodes = np.asarray(dirichlet_nodes, dtype=np.int64)
+    dirichlet_nodes = _node_indices(dirichlet_nodes, mesh.n_nodes)
     if not math.isfinite(1.0 / dt):
         raise InputError(f"dt={dt} is too small: 1/dt overflows")
+    free, node_to_free = free_arrays(mesh.n_nodes, dirichlet_nodes)
+    pattern = _FreePattern.build(mesh, free, node_to_free)
+    shape = (free.size, free.size)
     try:
-        with np.errstate(over="raise"):
-            M, K, A, S = _assemble_volume(mesh, advection, nu, dt, supg_on)
+        # a NaN or infinite advection value is reported by _element_tables
+        with np.errstate(over="raise", invalid="ignore"):
+            tables = _element_tables(mesh, advection, nu, dt, supg_on)
+            m, k, a, s = (None if t is None else pattern.sums(t) for t in tables)
     except (OverflowError, FloatingPointError) as exc:
         raise InputError(f"operator coefficients overflow at nu={nu}, dt={dt}: "
                          f"{exc}") from exc
 
-    free, _ = free_arrays(mesh.n_nodes, dirichlet_nodes)
+    def dropping_zeros(values):
+        if values is None:
+            return sp.csr_matrix(shape), np.zeros(pattern.indices.size, dtype=bool)
+        held = values != 0
+        return _nonzero_csr(values, pattern.indptr, pattern.indices, shape), held
 
-    def restrict(mat):
-        return mat[free][:, free].tocsr()
-
-    return OperatorSet(nu=nu, dt=dt, free_nodes=free, M=restrict(M), K=restrict(K),
-                       A=restrict(A), S_state=restrict(S))
+    M = sp.csr_matrix((m, pattern.indices, pattern.indptr), shape=shape)
+    K = sp.csr_matrix((k, pattern.indices.copy(), pattern.indptr.copy()),
+                      shape=shape)
+    (A, in_a), (S, in_s) = dropping_zeros(a), dropping_zeros(s)
+    ops = OperatorSet(nu=nu, dt=dt, free_nodes=free, M=M, K=K, A=A, S_state=S)
+    ops._on_pattern = _StateSum(terms=(M, K, A, S), in_a=in_a, in_s=in_s)
+    return ops
 
 
 def assemble_interface_mass(dec: Decomposition, side: int):
@@ -246,15 +426,23 @@ def assemble_interface_mass(dec: Decomposition, side: int):
 
     M_g is the control-space 1D mass, hy/6 [1, 4, 1] on the interior
     interface nodes; M_g0 = T^T M_g pairs the control hats with the
-    subdomain's free trace hats (every free trace hat is a control hat).
+    subdomain's free trace hats (every free trace hat is a control hat), so
+    its rows at the trace's free indices are the rows of M_g.
     """
     hy = dec.sub(side).hy
-    M_g = sp.diags([hy / 6.0, hy / 6.0 * 4.0, hy / 6.0], [-1, 0, 1],
-                   shape=(dec.n_control,) * 2, format="csr")
-    entries = M_g.tocoo()
-    M_g0 = linalg.from_triplets(dec.free_nodes(side).size, dec.n_control,
-                                dec.trace_free(side)[entries.row], entries.col,
-                                entries.data)
+    n = dec.n_control
+    cols = np.arange(n)[:, None] + np.arange(-1, 2)
+    inside = (cols >= 0) & (cols < n)
+    data = np.broadcast_to([hy / 6.0, hy / 6.0 * 4.0, hy / 6.0], (n, 3))[inside]
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(inside.sum(axis=1), out=indptr[1:])
+    indices = cols[inside].astype(np.int32)
+    M_g = sp.csr_matrix((data, indices, indptr), shape=(n, n))
+    n_free = dec.free_nodes(side).size
+    rows = np.zeros(n_free + 1, dtype=np.int32)
+    rows[dec.trace_free(side) + 1] = np.diff(indptr)
+    np.cumsum(rows, out=rows)
+    M_g0 = sp.csr_matrix((data.copy(), indices.copy(), rows), shape=(n_free, n))
     return M_g0, M_g
 
 

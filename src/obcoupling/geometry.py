@@ -102,15 +102,15 @@ class Decomposition:
 
 def _grid_mesh(nx: int, ny: int, coords: np.ndarray) -> Mesh:
     """An nx-by-ny grid mesh on the given lexicographic node coordinates."""
-    ex, ey = np.meshgrid(np.arange(nx), np.arange(ny))
-    n0 = (ey * (nx + 1) + ex).ravel()
-    elements = np.column_stack([n0, n0 + 1, n0 + nx + 2, n0 + nx + 1])
-
-    ii = np.arange((nx + 1) * (ny + 1)) % (nx + 1)
-    jj = np.arange((nx + 1) * (ny + 1)) // (nx + 1)
-    on_boundary = (ii == 0) | (ii == nx) | (jj == 0) | (jj == ny)
-    return Mesh(nx=nx, ny=ny, coords=coords, elements=elements.astype(np.int64),
-                boundary_nodes=np.flatnonzero(on_boundary))
+    row = nx + 1
+    n0 = (np.arange(ny, dtype=np.int64)[:, None] * row + np.arange(nx)).ravel()
+    elements = n0[:, None] + np.array([0, 1, row + 1, row])
+    # the bottom row, both ends of each inner row, the top row
+    ends = (np.arange(1, ny, dtype=np.int64)[:, None] * row + np.array([0, nx])).ravel()
+    boundary = np.concatenate([np.arange(row, dtype=np.int64), ends,
+                               ny * row + np.arange(row, dtype=np.int64)])
+    return Mesh(nx=nx, ny=ny, coords=coords, elements=elements,
+                boundary_nodes=boundary)
 
 
 def build_mesh(nx: int, ny: int, x_min: float = 0.0, x_max: float = 1.0,
@@ -126,23 +126,30 @@ def build_mesh(nx: int, ny: int, x_min: float = 0.0, x_max: float = 1.0,
     y = np.linspace(y_min, y_max, ny + 1)
     if not ((np.diff(x) > 0).all() and (np.diff(y) > 0).all()):
         raise InputError("degenerate rectangle: grid lines must strictly increase")
-    xx, yy = np.meshgrid(x, y)  # row-major over y, x fastest within a row
-    return _grid_mesh(nx, ny, np.column_stack([xx.ravel(), yy.ravel()]))
+    coords = np.empty((ny + 1, nx + 1, 2))  # row-major over y, x fastest
+    coords[:, :, 0] = x
+    coords[:, :, 1] = y[:, None]
+    return _grid_mesh(nx, ny, coords.reshape(-1, 2))
 
 
 def _subdomain(parent: Mesh, i_lo: int, i_hi: int, k: int) -> Subdomain:
-    """Columns i_lo..i_hi of the parent grid, with the interface at column k."""
+    """Columns i_lo..i_hi of the parent grid, with the interface at column
+    k, which is i_lo or i_hi."""
     nx, ny = i_hi - i_lo, parent.ny
-    ii, jj = np.meshgrid(np.arange(i_lo, i_hi + 1), np.arange(ny + 1))
-    node_map = (jj * (parent.nx + 1) + ii).ravel()
+    rows = np.arange(ny + 1, dtype=np.int64)[:, None]
+    node_map = (rows * (parent.nx + 1) + np.arange(i_lo, i_hi + 1)).ravel()
     mesh = _grid_mesh(nx, ny, parent.coords[node_map])  # sliced, so bitwise shared
 
-    # the control nodes: the interface column's interior, ascending y
-    control = np.arange(1, ny) * (nx + 1) + (k - i_lo)
-    dirichlet = np.setdiff1d(mesh.boundary_nodes, control)
-    free, node_to_free = free_arrays(mesh.n_nodes, dirichlet)
+    # The bottom row, the top row and each inner row's outer end are
+    # Dirichlet. Each inner row's other nx nodes are free: columns 1..nx-1
+    # and the interface column, whose interior is the control, ascending y.
+    inner = rows[1:-1] * (nx + 1)
+    outer, free_cols = (nx, np.arange(nx)) if k == i_lo else (0, np.arange(1, nx + 1))
+    dirichlet = np.concatenate([np.arange(nx + 1), (inner + outer).ravel(),
+                                ny * (nx + 1) + np.arange(nx + 1)])
     return Subdomain(mesh=mesh, node_map=node_map, dirichlet_nodes=dirichlet,
-                     free_nodes=free, trace_free=node_to_free[control])
+                     free_nodes=(inner + free_cols).ravel(),
+                     trace_free=np.arange(ny - 1) * nx + (0 if k == i_lo else nx - 1))
 
 
 def free_arrays(n_nodes: int, dirichlet: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

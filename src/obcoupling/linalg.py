@@ -47,22 +47,6 @@ class Factorization:
         return self._lu.solve(rhs, trans=self._trans)
 
 
-def from_triplets(n_rows: int, n_cols: int, rows, cols, values) -> sp.csr_matrix:
-    """Assemble a CSR matrix from COO triplets; duplicate entries are summed."""
-    rows = np.asarray(rows, dtype=np.int64)
-    cols = np.asarray(cols, dtype=np.int64)
-    values = np.asarray(values, dtype=np.float64)
-    if not (rows.shape == cols.shape == values.shape):
-        raise ValueError("triplet arrays must have identical shapes")
-    if rows.size and (rows.min() < 0 or rows.max() >= n_rows
-                      or cols.min() < 0 or cols.max() >= n_cols):
-        raise ValueError("triplet index out of range")
-    coo = sp.coo_matrix((values, (rows, cols)), shape=(n_rows, n_cols))
-    out = coo.tocsr()
-    out.sum_duplicates()
-    return out
-
-
 def csr_matvec(matrix: sp.csr_matrix, x: np.ndarray) -> np.ndarray:
     """``matrix @ x`` for a float64 CSR matrix and a float64 vector.
 

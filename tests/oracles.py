@@ -442,3 +442,151 @@ def exact_coupling_run(problem: ProblemSpec, supg_on: bool):
         for traj, u_i in zip(trajs, u):
             traj[:, n] = u_i
     return trajs[0], trajs[1]
+
+
+# The byte oracle of the package's assembly: the route through scipy it
+# replaced, kept whole. COO triplets of the full mesh go to CSR (duplicates
+# summed), A and S drop exact zeros, rows and columns are restricted to the
+# free nodes by fancy indexing, and the state matrix is scipy's sparse sum.
+# The package's one-pattern assembly must reproduce every CSR array of it
+# byte for byte.
+
+_SCIPY_G = 1.0 / np.sqrt(3.0)
+_SCIPY_GAUSS_POINTS = ((-_SCIPY_G, -_SCIPY_G), (_SCIPY_G, -_SCIPY_G),
+                       (_SCIPY_G, _SCIPY_G), (-_SCIPY_G, _SCIPY_G))
+
+
+def from_triplets(n_rows, n_cols, rows, cols, values):
+    """Assemble a CSR matrix from COO triplets; duplicate entries are summed."""
+    rows = np.asarray(rows, dtype=np.int64)
+    cols = np.asarray(cols, dtype=np.int64)
+    values = np.asarray(values, dtype=np.float64)
+    if not (rows.shape == cols.shape == values.shape):
+        raise ValueError("triplet arrays must have identical shapes")
+    if rows.size and (rows.min() < 0 or rows.max() >= n_rows
+                      or cols.min() < 0 or cols.max() >= n_cols):
+        raise ValueError("triplet index out of range")
+    out = sp.coo_matrix((values, (rows, cols)), shape=(n_rows, n_cols)).tocsr()
+    out.sum_duplicates()
+    return out
+
+
+def _scipy_volume(mesh, advection, nu, dt, supg_on):
+    """Element loops for M, K, A, S_state over the full node space."""
+    hx, hy = mesh.hx, mesh.hy
+    corners = mesh.coords[mesh.elements[:, 0]]
+    jac = hx * hy / 4.0
+    n_el = mesh.n_elements
+
+    m_el = np.zeros((4, 4))
+    k_el = np.zeros((4, 4))
+    a_el = np.zeros((n_el, 4, 4))
+    s_el = np.zeros((n_el, 4, 4))
+
+    if advection is not None and supg_on:
+        cx = corners[:, 0] + hx / 2.0
+        cy = corners[:, 1] + hy / 2.0
+        acx, acy = advection(cx, cy)
+        a_mag = np.hypot(np.broadcast_to(acx, cx.shape),
+                         np.broadcast_to(acy, cy.shape))
+        h_e = np.sqrt(hx * hy)
+        tau = 1.0 / np.sqrt((2.0 / dt) ** 2 + (2.0 * a_mag / h_e) ** 2
+                            + (9.0 * 4.0 * nu / h_e ** 2) ** 2)
+    else:
+        tau = None
+
+    for xi, eta in _SCIPY_GAUSS_POINTS:
+        nv = shapes(xi, eta)
+        ref_grad = ref_grads(xi, eta)
+        grad = np.column_stack([ref_grad[:, 0] * 2.0 / hx,
+                                ref_grad[:, 1] * 2.0 / hy])
+        m_el += jac * np.outer(nv, nv)
+        k_el += jac * (grad @ grad.T)
+        if advection is not None:
+            xq = corners[:, 0] + (xi + 1.0) * hx / 2.0
+            yq = corners[:, 1] + (eta + 1.0) * hy / 2.0
+            ax, ay = advection(xq, yq)
+            ax = np.broadcast_to(ax, xq.shape)
+            ay = np.broadcast_to(ay, yq.shape)
+            adv_j = ax[:, None] * grad[None, :, 0] + ay[:, None] * grad[None, :, 1]
+            a_el += jac * nv[None, :, None] * adv_j[:, None, :]
+            if tau is not None:
+                trial = nv[None, None, :] / dt + adv_j[:, None, :]
+                s_el += (jac * tau[:, None, None]) * adv_j[:, :, None] * trial
+
+    rows = np.repeat(mesh.elements, 4, axis=1).ravel()
+    cols = np.tile(mesh.elements, (1, 4)).ravel()
+    n = mesh.n_nodes
+    M = from_triplets(n, n, rows, cols, np.tile(m_el.ravel(), n_el))
+    K = from_triplets(n, n, rows, cols, np.tile(k_el.ravel(), n_el))
+    A = from_triplets(n, n, rows, cols, a_el.reshape(n_el, -1).ravel())
+    S = from_triplets(n, n, rows, cols, s_el.reshape(n_el, -1).ravel())
+    A.eliminate_zeros()
+    S.eliminate_zeros()
+    return M, K, A, S
+
+
+def scipy_operators(mesh, dirichlet_nodes, *, nu, dt, advection=None,
+                    supg_on=False):
+    """(free nodes, M, K, A, S_state) on the free DOFs, the scipy way."""
+    mask = np.ones(mesh.n_nodes, dtype=bool)
+    mask[np.asarray(dirichlet_nodes, dtype=np.int64)] = False
+    free = np.flatnonzero(mask)
+    with np.errstate(over="raise"):
+        volume = _scipy_volume(mesh, advection, nu, dt, supg_on)
+    return (free, *(mat[free][:, free].tocsr() for mat in volume))
+
+
+def scipy_state_matrix(M, K, A, S, nu, dt):
+    """M/dt + nu K + A + S_state as scipy's sparse arithmetic sums it."""
+    with np.errstate(over="ignore"):
+        return (M / dt + nu * K + A + S).tocsr()
+
+
+def scipy_interface_mass(dec, side):
+    """(M_g0, M_g) of one subdomain, the scipy way."""
+    hy = dec.sub(side).hy
+    M_g = sp.diags([hy / 6.0, hy / 6.0 * 4.0, hy / 6.0], [-1, 0, 1],
+                   shape=(dec.n_control,) * 2, format="csr")
+    entries = M_g.tocoo()
+    M_g0 = from_triplets(dec.free_nodes(side).size, dec.n_control,
+                         dec.trace_free(side)[entries.row], entries.col,
+                         entries.data)
+    return M_g0, M_g
+
+
+# The mesh and subdomain index arrays the way meshgrids, masks and set
+# differences compute them: the oracle of geometry's index arithmetic.
+
+def grid_topology(nx, ny):
+    """(elements, boundary_nodes) of an nx-by-ny grid."""
+    ex, ey = np.meshgrid(np.arange(nx), np.arange(ny))
+    n0 = (ey * (nx + 1) + ex).ravel()
+    elements = np.column_stack([n0, n0 + 1, n0 + nx + 2, n0 + nx + 1])
+    ii = np.arange((nx + 1) * (ny + 1)) % (nx + 1)
+    jj = np.arange((nx + 1) * (ny + 1)) // (nx + 1)
+    on_boundary = (ii == 0) | (ii == nx) | (jj == 0) | (jj == ny)
+    return elements.astype(np.int64), np.flatnonzero(on_boundary)
+
+
+def grid_coords(nx, ny, x_min, x_max, y_min, y_max):
+    xx, yy = np.meshgrid(np.linspace(x_min, x_max, nx + 1),
+                         np.linspace(y_min, y_max, ny + 1))
+    return np.column_stack([xx.ravel(), yy.ravel()])
+
+
+def subdomain_index_arrays(parent_nx, ny, i_lo, i_hi, k):
+    """(node_map, dirichlet, free, trace_free) of columns i_lo..i_hi of a
+    parent grid with parent_nx columns, the interface at column k."""
+    nx = i_hi - i_lo
+    ii, jj = np.meshgrid(np.arange(i_lo, i_hi + 1), np.arange(ny + 1))
+    node_map = (jj * (parent_nx + 1) + ii).ravel()
+    boundary = grid_topology(nx, ny)[1]
+    control = np.arange(1, ny) * (nx + 1) + (k - i_lo)
+    dirichlet = np.setdiff1d(boundary, control)
+    mask = np.ones((nx + 1) * (ny + 1), dtype=bool)
+    mask[dirichlet] = False
+    free = np.flatnonzero(mask)
+    node_to_free = np.full(mask.size, -1, dtype=np.int64)
+    node_to_free[free] = np.arange(free.size)
+    return node_map, dirichlet, free, node_to_free[control]

@@ -277,6 +277,77 @@ def test_assemble_operators_validates_inputs():
             assembly.assemble_operators(mesh, mesh.boundary_nodes, nu=nu, dt=dt)
 
 
+@pytest.mark.parametrize("nodes", [[-1], [1.7], [[0, 1]], [25], [True]])
+def test_malformed_dirichlet_nodes_are_input_errors(nodes):
+    # 25 nodes: a negative index would wrap to the last node, a float would
+    # truncate, a nested list would flatten, 25 is past the end, a boolean
+    # reads as a mask
+    mesh = build_mesh(4, 4)
+    with pytest.raises(InputError, match="dirichlet_nodes"):
+        assembly.assemble_operators(mesh, nodes, nu=1.0, dt=0.1)
+    for fine in ([], [0, 24], np.array([3, 3], dtype=np.uint8)):
+        ops = assembly.assemble_operators(mesh, fine, nu=1.0, dt=0.1)
+        assert ops.n_free == 25 - len(set(np.asarray(fine).tolist()))
+
+
+@pytest.mark.parametrize("supg_on", [False, True])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_advection_is_an_input_error_at_assembly(bad, supg_on):
+    # a NaN or infinite field value used to reach A and S and show only at
+    # factorization as an overflowing state matrix
+    def spoiled(x, y):
+        ax, ay = rotation(x, y)
+        return np.where(np.asarray(x) > 0.6, bad, ax), ay
+
+    def spoiled_at_centers(x, y):  # finite at every Gauss point
+        centre = np.isclose((np.asarray(x) * 4) % 1, 0.5)
+        return np.where(centre, bad, 0.5 - np.asarray(y)), np.asarray(x) - 0.5
+
+    mesh = build_mesh(4, 4)
+    fields = [spoiled] + ([spoiled_at_centers] if supg_on else [])
+    for field in fields:
+        with pytest.raises(InputError, match=f"advection field .*{field.__name__}"):
+            assembly.assemble_operators(mesh, mesh.boundary_nodes, nu=1.0, dt=0.1,
+                                        advection=field, supg_on=supg_on)
+
+
+def test_advection_values_take_the_points_shape():
+    # a constant field broadcasts; a field of another shape is refused, even
+    # where numpy would broadcast it (4 elements, a (4, 1) column)
+    mesh = build_mesh(2, 2)
+    const = assembly.assemble_operators(mesh, [], nu=1.0, dt=0.1,
+                                        advection=lambda x, y: (0.5, -1.0),
+                                        supg_on=True)
+    full = assembly.assemble_operators(
+        mesh, [], nu=1.0, dt=0.1, supg_on=True,
+        advection=lambda x, y: (np.full_like(x, 0.5), np.full_like(y, -1.0)))
+    assert_same_bytes(const.A, full.A)
+    assert_same_bytes(const.S_state, full.S_state)
+    with pytest.raises(ValueError):
+        assembly.assemble_operators(mesh, [], nu=1.0, dt=0.1,
+                                    advection=lambda x, y: (x[:, None], y[:, None]))
+
+
+def test_replaced_operator_set_solves_its_own_system():
+    # the LU, the trace response and the state-sum pattern are caches of one
+    # set's operators: a copy with other coefficients starts without them
+    dec = decompose(build_mesh(4, 4), 0.5)
+    ops = assembly.subdomain_operators(dec, 2, nu=1.0, dt=0.1, advection=rotation,
+                                       supg_on=True)
+    ops.state_factor()
+    ops.trace_response(dec.trace_free(2))
+    b = np.random.default_rng(5).standard_normal(ops.n_free)
+    for changes in ({"nu": 50.0}, {"dt": 0.01}, {"K": 2.0 * ops.K}):
+        other = dataclasses.replace(ops, **changes)
+        L = other.state_matrix()
+        assert abs(L - ops.state_matrix()).max() > 1.0
+        x = other.state_factor().solve(b)
+        assert np.linalg.norm(L @ x - b) <= 1e-12 * np.linalg.norm(b)
+        assert other.trace_response(dec.trace_free(2)) is not ops.trace_response(
+            dec.trace_free(2))
+    assert dataclasses.replace(ops) == ops  # the caches take no part in equality
+
+
 def test_state_matrix_overflow_is_an_input_error():
     # finite nu and dt can still overflow nu K, M/dt or their sum with A + S;
     # scipy's sparse add raises no numpy flag, so the entries are checked, and
@@ -311,3 +382,88 @@ def test_mass_quadratic_form_is_integral(nx, ny, seed):
     rng = np.random.default_rng(seed)
     u = rng.standard_normal(mesh.n_nodes)
     assert u @ (ops.M @ u) > 0.0
+
+
+def half_rotation(x, y):
+    """Rotation on x > 0.5, exactly zero on the rest: A and S get entries
+    that sum to exact zeros, which they drop."""
+    x, y = np.asarray(x), np.asarray(y)
+    return np.where(x > 0.5, 0.5 - y, 0.0), np.where(x > 0.5, x - 0.5, 0.0)
+
+
+def assert_same_bytes(got, want):
+    assert type(got) is type(want) and got.shape == want.shape
+    for part in ("data", "indices", "indptr"):
+        a, b = getattr(got, part), getattr(want, part)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), part
+
+
+def assert_scipy_route(mesh, dirichlet, **kwargs):
+    """Every operator of one assembly, and its state matrix, against the
+    scipy route of tests/oracles.py, byte for byte."""
+    ops = assembly.assemble_operators(mesh, dirichlet, **kwargs)
+    free, M, K, A, S = oracles.scipy_operators(mesh, dirichlet, **kwargs)
+    np.testing.assert_array_equal(ops.free_nodes, free)
+    for got, want in ((ops.M, M), (ops.K, K), (ops.A, A), (ops.S_state, S)):
+        assert_same_bytes(got, want)
+    assert_same_bytes(ops.state_matrix(), oracles.scipy_state_matrix(
+        M, K, A, S, kwargs["nu"], kwargs["dt"]))
+    return ops
+
+
+@pytest.mark.parametrize("level", [4, 8, 16, 32, 64])
+def test_operators_are_the_scipy_route_byte_for_byte(level):
+    mesh = build_mesh(level, level)
+    dec = decompose(mesh, 0.5)
+    dropped = 0
+    for advection in (None, rotation, half_rotation):
+        for supg_on in (False, True):
+            for nu in (0.0, 1e-3):
+                kwargs = dict(nu=nu, dt=0.4 / level ** 2, advection=advection,
+                              supg_on=supg_on)
+                assert_scipy_route(mesh, mesh.boundary_nodes, **kwargs)
+                for side in (1, 2):
+                    ops = assert_scipy_route(dec.sub(side), dec.dirichlet_nodes(side),
+                                             **kwargs)
+                    dropped += advection is half_rotation and ops.A.nnz < ops.M.nnz
+    assert dropped  # the zero field's entries were there to drop
+    for side in (1, 2):
+        ops = assembly.subdomain_operators(dec, side, nu=1e-3, dt=1e-3)
+        for got, want in zip((ops.M_g0, ops.M_g),
+                             oracles.scipy_interface_mass(dec, side)):
+            assert_same_bytes(got, want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(nx=st.integers(1, 6), ny=st.integers(1, 6), seed=st.integers(0, 2 ** 32 - 1),
+       share=st.sampled_from([0.0, 0.2, 0.5, 1.0]),
+       advection=st.sampled_from([None, rotation, half_rotation]),
+       supg_on=st.booleans(), nu=st.sampled_from([0.0, 1e-3, 2.0]))
+def test_random_dirichlet_sets_are_the_scipy_route(nx, ny, seed, share, advection,
+                                                   supg_on, nu):
+    # any node subset, any rectangle: the pattern read off the grid is the
+    # scipy route's, down to the last byte
+    rng = np.random.default_rng(seed)
+    x0, y0 = rng.uniform(-2.0, 2.0, 2)
+    mesh = build_mesh(nx, ny, x0, x0 + rng.uniform(0.1, 3.0),
+                      y0, y0 + rng.uniform(0.1, 3.0))
+    dirichlet = np.flatnonzero(rng.random(mesh.n_nodes) < share)
+    assert_scipy_route(mesh, dirichlet, nu=nu, dt=rng.uniform(1e-3, 1.0),
+                       advection=advection, supg_on=supg_on)
+
+
+def test_from_triplets_sums_duplicates():
+    mat = oracles.from_triplets(3, 3, [0, 0, 1, 2], [0, 0, 1, 0],
+                                [1.0, 2.0, 4.0, -1.0])
+    dense = mat.toarray()
+    assert dense[0, 0] == 3.0
+    assert dense[1, 1] == 4.0
+    assert dense[2, 0] == -1.0
+    assert mat.shape == (3, 3)
+
+
+def test_from_triplets_validates_indices():
+    with pytest.raises(ValueError):
+        oracles.from_triplets(2, 2, [0, 3], [0, 0], [1.0, 1.0])
+    with pytest.raises(ValueError):
+        oracles.from_triplets(2, 2, [0], [0, 1], [1.0, 1.0])

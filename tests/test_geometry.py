@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from obcoupling.errors import InputError
 from obcoupling.geometry import build_mesh, decompose
 
@@ -176,3 +177,29 @@ def test_decompose_properties(nx, ny, x_min, width, y_min, height, data):
         trace = sub.coords[dec.free_nodes(side)[dec.trace_free(side)]]
         assert (trace == mesh.coords[column[1:-1]]).all()
         assert (trace[:, 0] == x_cut).all() and (np.diff(trace[:, 1]) > 0).all()
+
+
+def test_index_arithmetic_is_the_meshgrid_route():
+    # elements, boundary, coordinates and each side's node sets, computed by
+    # index arithmetic, equal the meshgrid, mask and set-difference route
+    # of tests/oracles.py: values, dtypes and layout
+    def same(got, want):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.flags.c_contiguous and got.tobytes() == want.tobytes()
+
+    for nx in (1, 2, 3, 5, 8, 16):
+        for ny in (1, 2, 3, 7, 16):
+            mesh = build_mesh(nx, ny, -0.3, 1.9, 0.25, 0.75)
+            elements, boundary = oracles.grid_topology(nx, ny)
+            same(mesh.elements, elements)
+            same(mesh.boundary_nodes, boundary)
+            same(mesh.coords, oracles.grid_coords(nx, ny, -0.3, 1.9, 0.25, 0.75))
+            for k in range(1, nx):
+                dec = decompose(mesh, mesh.coords[k, 0])
+                for side, (i_lo, i_hi) in ((1, (0, k)), (2, (k, nx))):
+                    sub = dec.side(side)
+                    want = oracles.subdomain_index_arrays(nx, ny, i_lo, i_hi, k)
+                    for got, arr in zip((sub.node_map, sub.dirichlet_nodes,
+                                         sub.free_nodes, sub.trace_free), want):
+                        same(got, arr)
+                    same(sub.mesh.elements, oracles.grid_topology(i_hi - i_lo, ny)[0])

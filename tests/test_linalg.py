@@ -7,23 +7,6 @@ from hypothesis import strategies as st
 from obcoupling import linalg
 
 
-def test_from_triplets_sums_duplicates():
-    mat = linalg.from_triplets(3, 3, [0, 0, 1, 2], [0, 0, 1, 0],
-                               [1.0, 2.0, 4.0, -1.0])
-    dense = mat.toarray()
-    assert dense[0, 0] == 3.0
-    assert dense[1, 1] == 4.0
-    assert dense[2, 0] == -1.0
-    assert mat.shape == (3, 3)
-
-
-def test_from_triplets_validates_indices():
-    with pytest.raises(ValueError):
-        linalg.from_triplets(2, 2, [0, 3], [0, 0], [1.0, 1.0])
-    with pytest.raises(ValueError):
-        linalg.from_triplets(2, 2, [0], [0, 1], [1.0, 1.0])
-
-
 def test_factorization_matches_dense_solve():
     rng = np.random.default_rng(3)
     dense = rng.standard_normal((12, 12)) + 12 * np.eye(12)
