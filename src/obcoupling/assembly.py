@@ -128,15 +128,16 @@ class TraceResponse:
 
     and the adjoint of an interface jump is sign Y jump, with trace
     sign (T Y) jump. A reduced model has the same record in its own
-    coordinates (``rom.reduce_operators``). Signs are left to the caller.
+    coordinates (``rom.reduce_operators``), with None in the maps of a half
+    it was built without. Signs are left to the caller.
     """
 
     trace_free: np.ndarray  # (n_control,) free indices of the interface nodes
-    Y: np.ndarray           # (n_adjoint, n_control)
-    WT: np.ndarray          # (n_control, n_state) W^T, maps a load to its trace
-    P: np.ndarray           # (n_control, n_state) history map
-    TZ: np.ndarray          # (n_control, n_control)
-    TY: np.ndarray          # (n_control, n_control)
+    Y: np.ndarray | None    # (n_adjoint, n_control)
+    WT: np.ndarray | None   # (n_control, n_state) W^T, maps a load to its trace
+    P: np.ndarray | None    # (n_control, n_state) history map
+    TZ: np.ndarray | None   # (n_control, n_control)
+    TY: np.ndarray | None   # (n_control, n_control)
 
     def zero_control_trace(self, u_prev: np.ndarray, f=None) -> np.ndarray:
         """Interface trace P u_prev + W^T f of a state step at zero control."""
@@ -202,17 +203,30 @@ class OperatorSet:
         """Solves with state_matrix().T, on the state system's factors."""
         return self.state_factor().T
 
+    def interface_indices(self, trace_free) -> np.ndarray:
+        """``trace_free`` as an int64 array; InputError unless it holds this
+        subdomain's interface indices in control order, the rows at which
+        M_g0 = T^T M_g repeats M_g and outside which it is zero."""
+        n_control = self.M_g0.shape[1]
+        trace_free = np.array(trace_free, dtype=np.int64)
+        if trace_free.shape != (n_control,):
+            raise InputError(f"trace_free must hold {n_control} indices")
+        if (self.M_g0.nnz != self.M_g.nnz
+                or not ((trace_free >= 0) & (trace_free < self.n_free)).all()
+                or not np.array_equal(self.M_g0.toarray()[trace_free],
+                                      self.M_g.toarray())):
+            raise InputError("trace_free are not this subdomain's interface indices")
+        return trace_free
+
     def trace_response(self, trace_free: np.ndarray) -> TraceResponse:
         """Interface maps of this subdomain (see TraceResponse), from one
         transposed solve with the state factors; cached for the given
-        interface indices."""
+        interface indices, which are checked when the maps are built."""
         cached = self._trace_response
         if cached is not None and np.array_equal(cached.trace_free, trace_free):
             return cached
         n_control = self.M_g0.shape[1]
-        trace_free = np.array(trace_free, dtype=np.int64)
-        if trace_free.shape != (n_control,):
-            raise ValueError(f"trace_free must hold {n_control} indices")
+        trace_free = self.interface_indices(trace_free)
         rhs = np.zeros((self.n_free, 2 * n_control), order="F")
         rhs[:, :n_control] = self.M_g0.toarray()
         rhs[trace_free, n_control + np.arange(n_control)] = 1.0

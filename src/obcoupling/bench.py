@@ -273,26 +273,23 @@ class ExperimentContext:
         return {key: basis.sigma for key, basis in self._bases.items()}
 
     def build_backends(self, entry: ExperimentEntry):
-        """Reduced operator sets per side for one entry (None = full order)."""
+        """Reduced operator sets per side for one entry (None = full order),
+        each holding only the half it runs."""
         state_rops = [None, None]
         adjoint_rops = [None, None]
         dec = self.problem.decomposition
         for side in (1, 2):
-            psi_u = psi_mu = None
+            tf = dec.trace_free(side)
             if entry.state_modes is not None:
                 psi_u = self.basis("state", side).truncate(entry.state_modes).Psi
+                state_rops[side - 1] = rom.reduce_operators(
+                    self.problem.operators(side, self.config.supg_on), psi_u, None,
+                    trace_free=tf)
             if entry.adjoint_modes is not None:
-                source = entry.adjoint_source
-                psi_mu = self.basis(source, side).truncate(entry.adjoint_modes).Psi
-            if psi_u is None and psi_mu is None:
-                continue
-            ops = self.problem.operators(side, self.config.supg_on)
-            rops = rom.reduce_operators(ops, psi_u if psi_u is not None else psi_mu,
-                                        psi_mu, trace_free=dec.trace_free(side))
-            if psi_u is not None:
-                state_rops[side - 1] = rops
-            if psi_mu is not None:
-                adjoint_rops[side - 1] = rops
+                basis = self.basis(entry.adjoint_source, side)
+                adjoint_rops[side - 1] = rom.reduce_operators(
+                    self.problem.operators(side, self.config.supg_on), None,
+                    basis.truncate(entry.adjoint_modes).Psi, trace_free=tf)
         return tuple(state_rops), tuple(adjoint_rops)
 
     def run_entry(self, entry: ExperimentEntry) -> tuple[ReportRow, coupling.CoupledRunResult]:

@@ -97,7 +97,7 @@ def sign_of(side: int) -> float:
     return -1.0 if side == 1 else 1.0
 
 
-def monolithic_solve(problem: ProblemSpec, *, supg_on: bool = False) -> Trajectory:
+def monolithic_solve(problem: ProblemSpec, *, supg_on: bool) -> Trajectory:
     """March the undecomposed problem over [0, T]; reference for all couplings."""
     mesh = problem.mesh
     ops = assembly.assemble_operators(

@@ -10,7 +10,7 @@ basis is Q times its left singular vectors, and ``sigma`` is its k singular
 values padded with exact zeros to min(data.shape). Nested prefixes then hold
 up to k modes; a basis asked for more comes from the thin SVD of the data
 itself (``ReducedBasis.truncate``), which is the one place that rule lives.
-A reduced model projects the full-order state system L twice:
+A reduced model projects the full-order state system L once per half:
 Psi_u^T L Psi_u under the state basis and Psi_mu^T L^T Psi_mu, its adjoint,
 under the adjoint basis. A full orthonormal basis therefore reproduces the
 corresponding full-order solve exactly (change of basis). A reduced model
@@ -138,51 +138,54 @@ class ReducedOperatorSet:
     Y = (Psi_mu^T L^T Psi_mu)^{-1} Psi_mu^T M_g0 gives reduced adjoints. The
     adjoint basis Psi_mu enters only through Y and T Y, so it is not kept.
     ``zeros`` is a zero vector of the reduced state's length, against which
-    a step checks its right-hand side for NaN and infinity in one dot.
+    a step checks its right-hand side for NaN and infinity in one dot. A
+    half built without its basis holds None.
     """
 
     dt: float
-    Psi_u: np.ndarray
-    Mh: np.ndarray
-    state_lu: tuple           # scipy.linalg.lu_factor of the reduced state system
-    PsiT_Mg0: np.ndarray      # (n_u, n_control)
+    Psi_u: np.ndarray | None
+    Mh: np.ndarray | None
+    state_lu: tuple | None       # scipy.linalg.lu_factor of the reduced state system
+    PsiT_Mg0: np.ndarray | None  # (n_u, n_control)
     response: assembly.TraceResponse
-    zeros: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "zeros", np.zeros(self.Mh.shape[0]))
+    zeros: np.ndarray | None = field(repr=False, compare=False)
 
 
 def _project(mat, basis: np.ndarray) -> np.ndarray:
     return basis.T @ (mat @ basis)
 
 
-def reduce_operators(ops: assembly.OperatorSet, Psi_u: np.ndarray,
-                     Psi_mu: np.ndarray | None = None, *,
+def reduce_operators(ops: assembly.OperatorSet, Psi_u: np.ndarray | None,
+                     Psi_mu: np.ndarray | None, *,
                      trace_free: np.ndarray) -> ReducedOperatorSet:
     """Project one subdomain's state system onto reduced bases and factor it.
 
-    ``trace_free`` gives the control-ordered free indices of the interface
-    (the interface map of the decomposition).
+    ``Psi_u`` builds the state half (up to W^T, P and T Z), ``Psi_mu`` the
+    adjoint half (Y and T Y); a None basis leaves its half out. ``trace_free``
+    gives the control-ordered free indices of the interface, checked by
+    ``ops.interface_indices``.
     """
-    if Psi_mu is None:
-        Psi_mu = Psi_u
     if ops.M_g0 is None:
         raise ValueError("reduce_operators needs subdomain operators with interface blocks")
-
+    trace_free = ops.interface_indices(trace_free)
     system = ops.state_matrix()
-    Mh = _project(ops.M, Psi_u)
-    state_lu = scipy.linalg.lu_factor(_project(system, Psi_u))
-    PsiT_Mg0 = (ops.M_g0.T @ Psi_u).T.copy()
-    # W^T = (T Psi_u) (Psi_u^T L Psi_u)^{-1}, Y from the reduced adjoint system
-    WT = scipy.linalg.lu_solve(state_lu, Psi_u[trace_free].T, trans=1).T
-    Y = scipy.linalg.lu_solve(scipy.linalg.lu_factor(_project(system.T, Psi_mu)),
-                              (ops.M_g0.T @ Psi_mu).T)
+    Mh = state_lu = PsiT_Mg0 = zeros = WT = P = TZ = Y = TY = None
+    if Psi_u is not None:
+        Mh = _project(ops.M, Psi_u)
+        zeros = np.zeros(Psi_u.shape[1])
+        state_lu = scipy.linalg.lu_factor(_project(system, Psi_u))
+        PsiT_Mg0 = (ops.M_g0.T @ Psi_u).T.copy()
+        # W^T = (T Psi_u) (Psi_u^T L Psi_u)^{-1}
+        WT = scipy.linalg.lu_solve(state_lu, Psi_u[trace_free].T, trans=1).T
+        P, TZ = WT @ Mh / ops.dt, WT @ PsiT_Mg0
+    if Psi_mu is not None:
+        Y = scipy.linalg.lu_solve(scipy.linalg.lu_factor(_project(system.T, Psi_mu)),
+                                  (ops.M_g0.T @ Psi_mu).T)
+        TY = Psi_mu[trace_free] @ Y
     return ReducedOperatorSet(
-        dt=ops.dt, Psi_u=Psi_u, Mh=Mh,
-        state_lu=state_lu, PsiT_Mg0=PsiT_Mg0, response=assembly.TraceResponse(
-            trace_free=np.array(trace_free, dtype=np.int64), Y=Y, WT=WT,
-            P=WT @ Mh / ops.dt, TZ=WT @ PsiT_Mg0, TY=Psi_mu[trace_free] @ Y))
+        dt=ops.dt, Psi_u=Psi_u, Mh=Mh, state_lu=state_lu, PsiT_Mg0=PsiT_Mg0,
+        response=assembly.TraceResponse(trace_free=trace_free, Y=Y, WT=WT, P=P,
+                                        TZ=TZ, TY=TY), zeros=zeros)
 
 
 def rom_state_step(rops: ReducedOperatorSet, uhat_prev: np.ndarray,

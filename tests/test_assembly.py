@@ -212,6 +212,42 @@ def test_trace_response_matches_sparse_solves(model):
                                    atol=1e-12 * abs(want).max())
 
 
+@pytest.mark.parametrize("level", [4, 8, 16, 32, 64])
+def test_operator_sets_accept_only_their_own_interface_indices(level):
+    # M_g0 = T^T M_g fixes a side's interface indices: its rows there are
+    # M_g's and it holds nothing else. The sides have the same free-DOF
+    # count, so the other side's indices are in range and only this check
+    # tells them apart
+    dec = decompose(build_mesh(level, level), 0.5)
+    for side, other in ((1, 2), (2, 1)):
+        ops = assembly.subdomain_operators(dec, side, nu=1e-2, dt=5e-2)
+        own = ops.interface_indices(dec.trace_free(side))
+        assert own.dtype == np.int64 and (own == dec.trace_free(side)).all()
+        with pytest.raises(InputError, match="not this subdomain's"):
+            ops.interface_indices(dec.trace_free(other))
+        for bad in (dec.trace_free(side)[::-1], dec.trace_free(side) + ops.n_free,
+                    dec.trace_free(side) - ops.n_free):
+            with pytest.raises(InputError, match="not this subdomain's"):
+                ops.interface_indices(bad)
+        with pytest.raises(InputError, match=f"must hold {dec.n_control} indices"):
+            ops.interface_indices(dec.trace_free(side)[1:])
+
+
+def test_trace_responses_reject_another_sides_interface_indices():
+    # both entry points that build interface maps check the indices, so a
+    # response with the other side's T Y (off by order 1) cannot be built
+    dec = decompose(build_mesh(8, 8), 0.5)
+    ops = assembly.subdomain_operators(dec, 1, nu=1e-2, dt=5e-2, advection=rotation)
+    Psi = np.linalg.qr(np.random.default_rng(8).standard_normal((ops.n_free, 9)))[0]
+    with pytest.raises(InputError, match="not this subdomain's"):
+        ops.trace_response(dec.trace_free(2))
+    with pytest.raises(InputError, match="not this subdomain's"):
+        rom.reduce_operators(ops, Psi, Psi, trace_free=dec.trace_free(2))
+    assert ops._trace_response is None
+    ops.trace_response(dec.trace_free(1))
+    rom.reduce_operators(ops, Psi, Psi, trace_free=dec.trace_free(1))
+
+
 def test_interface_mass_small_mesh():
     # 2x2 grid split at 0.5: one control node at y = 0.5, edge length 0.5.
     dec = decompose(build_mesh(2, 2), 0.5)

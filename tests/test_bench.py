@@ -3,8 +3,9 @@ import re
 
 import numpy as np
 import pytest
+import scipy.linalg
 
-from obcoupling import assembly, bench, coupling, fom, linalg, snapshots
+from obcoupling import assembly, bench, coupling, fom, linalg, rom, snapshots
 from obcoupling.errors import InputError
 
 
@@ -205,6 +206,77 @@ def test_experiment_builds_each_sides_operators_once(monkeypatch):
     bench.run_experiment(bench.BenchmarkSpec(level=16, T=2.0),
                          bench.standard_entries())
     assert calls == {"subdomain_operators": 2, "factorize": 3}
+
+
+# one entry of each kind that reduces a half: reduced state with full-order
+# adjoint, full-order state with reduced adjoint, both reduced from their own
+# bases, and both reduced from the state basis
+HALVES = {"rs": bench.ExperimentEntry("rs", state_modes=20),
+          "adjoint-only": bench.ExperimentEntry("ra", adjoint_modes=10),
+          "rom-rom": bench.ExperimentEntry("rr", state_modes=20, adjoint_modes=10),
+          "state-adjoint": bench.ExperimentEntry("rs-state", state_modes=20,
+                                                 adjoint_modes=20,
+                                                 adjoint_source="state")}
+
+
+@pytest.fixture(scope="module")
+def level_16_context():
+    ctx = bench.ExperimentContext(bench.BenchmarkSpec(level=16, T=0.5))
+    for entry in HALVES.values():
+        ctx.build_backends(entry)  # the reference, collection and bases
+    return ctx
+
+
+@pytest.mark.parametrize("kind, factors", [("rs", 2), ("adjoint-only", 2),
+                                           ("rom-rom", 4), ("state-adjoint", 4)])
+def test_an_entry_factors_only_the_reduced_halves_it_runs(level_16_context,
+                                                          monkeypatch, kind, factors):
+    # one dense LU per side and reduced half: a full-order half is neither
+    # projected nor factored, and a reduced one is factored once
+    calls = []
+    lu_factor = scipy.linalg.lu_factor
+
+    def counting(a, *args, **kwargs):
+        calls.append(a.shape)
+        return lu_factor(a, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "lu_factor", counting)
+    level_16_context.build_backends(HALVES[kind])
+    assert len(calls) == factors
+
+
+@pytest.mark.parametrize("kind", HALVES)
+def test_halves_reduced_apart_run_the_bits_of_one_complete_set(level_16_context,
+                                                               kind):
+    # each half reads only its own fields, so a run on halves built apart
+    # returns the bytes of a run on one set per side built from both bases,
+    # serving both roles
+    ctx, entry = level_16_context, HALVES[kind]
+    _, got = ctx.run_entry(entry)
+    state_rops, adjoint_rops = [None, None], [None, None]
+    for side in (1, 2):
+        psi_u = psi_mu = None
+        if entry.state_modes is not None:
+            psi_u = ctx.basis("state", side).truncate(entry.state_modes).Psi
+        if entry.adjoint_modes is not None:
+            psi_mu = ctx.basis(entry.adjoint_source, side).truncate(
+                entry.adjoint_modes).Psi
+        complete = rom.reduce_operators(
+            ctx.problem.operators(side, True),
+            psi_u if psi_u is not None else psi_mu,
+            psi_mu if psi_mu is not None else psi_u,
+            trace_free=ctx.problem.decomposition.trace_free(side))
+        if psi_u is not None:
+            state_rops[side - 1] = complete
+        if psi_mu is not None:
+            adjoint_rops[side - 1] = complete
+    want = coupling.run_transient(ctx.problem, ctx.config, state_rops=tuple(state_rops),
+                                  adjoint_rops=tuple(adjoint_rops),
+                                  keep_trajectories=False)
+    assert sum(s.iterations for s in want.stats) > 0
+    for a, b in ((got.control.values, want.control.values),
+                 (got.final_1, want.final_1), (got.final_2, want.final_2)):
+        assert a.tobytes() == b.tobytes()
 
 
 def _count_reference_solves(monkeypatch) -> list:

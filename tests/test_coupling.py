@@ -525,7 +525,7 @@ def test_transient_runs_match_the_oracle_descent_bitwise(monkeypatch):
     for side in (1, 2):
         ops = prob.operators(side, True)
         psi = rom.full_pod(store[f"state_{side}"]).truncate(12).Psi
-        rops.append(rom.reduce_operators(ops, psi, trace_free=dec.trace_free(side)))
+        rops.append(rom.reduce_operators(ops, psi, psi, trace_free=dec.trace_free(side)))
     runs = {"fom-fom": {}, "rom-rom": {"state_rops": tuple(rops),
                                        "adjoint_rops": tuple(rops)},
             "mixed": {"state_rops": (rops[0], None), "adjoint_rops": (None, rops[1])}}
@@ -560,9 +560,9 @@ def desk_reduced_models():
     prob = desk_problem(n_steps=20)
     store = snapshots.split_monolithic_snapshots(
         fom.monolithic_solve(prob, supg_on=True), prob.decomposition)
+    psi = [rom.full_pod(store[f"state_{side}"]).truncate(12).Psi for side in (1, 2)]
     rops = tuple(rom.reduce_operators(
-        prob.operators(side, True),
-        rom.full_pod(store[f"state_{side}"]).truncate(12).Psi,
+        prob.operators(side, True), psi[side - 1], psi[side - 1],
         trace_free=prob.decomposition.trace_free(side)) for side in (1, 2))
     return prob, rops
 
@@ -758,13 +758,37 @@ def test_mixed_rom_fom_sides_run():
     ops_1 = assembly.subdomain_operators(dec, 1, nu=prob.nu, dt=prob.dt,
                                          advection=prob.a, supg_on=True)
     basis = rom.full_pod(store["state_1"]).truncate(4)
-    rops_1 = rom.reduce_operators(ops_1, basis.Psi,
+    rops_1 = rom.reduce_operators(ops_1, basis.Psi, basis.Psi,
                                   trace_free=dec.trace_free(1))
     cfg = coupling.CouplingConfig(delta=1e-10, tol=1e-8, supg_on=True)
     res = coupling.run_transient(prob, cfg, state_rops=(rops_1, None),
                                  adjoint_rops=(rops_1, None))
     assert res.final_1.size == dec.free_nodes(1).size
     assert res.final_2.size == dec.free_nodes(2).size
+    assert np.isfinite(res.final_1).all() and np.isfinite(res.final_2).all()
+
+
+def test_a_reduced_half_serves_only_its_own_role():
+    # a set reduced from one basis holds that half only, and a run refuses
+    # it in the other role before it does any work
+    prob = desk_problem(n_steps=2)
+    dec = prob.decomposition
+    ops = prob.operators(1, True)
+    psi = np.linalg.qr(np.random.default_rng(3).standard_normal((ops.n_free, 6)))[0]
+    state_only = rom.reduce_operators(ops, psi, None, trace_free=dec.trace_free(1))
+    adjoint_only = rom.reduce_operators(ops, None, psi, trace_free=dec.trace_free(1))
+    assert state_only.response.Y is None and state_only.response.TY is None
+    assert all(getattr(adjoint_only, name) is None
+               for name in ("Psi_u", "Mh", "state_lu", "PsiT_Mg0", "zeros"))
+    r = adjoint_only.response
+    assert r.WT is None and r.P is None and r.TZ is None
+    cfg = coupling.CouplingConfig(supg_on=True)
+    with pytest.raises(InputError, match="side 1: the adjoint model holds no adjoint half"):
+        coupling.run_transient(prob, cfg, adjoint_rops=(state_only, None))
+    with pytest.raises(InputError, match="side 2: the state model holds no state half"):
+        coupling.run_transient(prob, cfg, state_rops=(None, adjoint_only))
+    res = coupling.run_transient(prob, cfg, state_rops=(state_only, None),
+                                 adjoint_rops=(adjoint_only, None))
     assert np.isfinite(res.final_1).all() and np.isfinite(res.final_2).all()
 
 
@@ -821,7 +845,7 @@ def test_full_rank_reduced_state_with_full_adjoint_retraces_full_order():
             ops = assembly.subdomain_operators(dec, side, nu=prob.nu, dt=prob.dt,
                                                advection=prob.a, supg_on=True)
             psi = np.linalg.qr(rng.standard_normal((ops.n_free,) * 2))[0]
-            rops.append(rom.reduce_operators(ops, psi,
+            rops.append(rom.reduce_operators(ops, psi, psi,
                                              trace_free=dec.trace_free(side)))
         for mix in ({"state_rops": tuple(rops)}, {"adjoint_rops": tuple(rops)}):
             res = coupling.run_transient(prob, cfg, **mix)

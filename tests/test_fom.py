@@ -35,7 +35,7 @@ def test_sign_convention():
 
 def test_monolithic_diffusion_matches_dense_oracle():
     prob = make_problem(nu=0.3, dt=0.02, n_steps=5)
-    traj = fom.monolithic_solve(prob)
+    traj = fom.monolithic_solve(prob, supg_on=False)
     mesh = prob.mesh
     M, K, A = oracles.assemble_dense(mesh)
     free = np.setdiff1d(np.arange(mesh.n_nodes), mesh.boundary_nodes)
@@ -46,7 +46,7 @@ def test_monolithic_diffusion_matches_dense_oracle():
 
 def test_monolithic_advection_matches_dense_oracle():
     prob = make_problem(nu=0.01, dt=0.04, n_steps=4, a=rotation)
-    traj = fom.monolithic_solve(prob)
+    traj = fom.monolithic_solve(prob, supg_on=False)
     mesh = prob.mesh
     M, K, A = oracles.assemble_dense(mesh, rotation)
     free = np.setdiff1d(np.arange(mesh.n_nodes), mesh.boundary_nodes)
@@ -59,7 +59,7 @@ def test_monolithic_advection_matches_dense_oracle():
 @given(seed=st.integers(0, 1000))
 def test_pure_diffusion_is_dissipative(seed):
     prob = make_problem(nu=0.2, dt=0.1, n_steps=6, seed=seed)
-    traj = fom.monolithic_solve(prob)
+    traj = fom.monolithic_solve(prob, supg_on=False)
     ops = assembly.assemble_operators(prob.mesh, prob.mesh.boundary_nodes,
                                       nu=prob.nu, dt=prob.dt)
     norms = [traj.data[:, n] @ (ops.M @ traj.data[:, n])

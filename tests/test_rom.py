@@ -171,7 +171,7 @@ def test_full_basis_reproduces_fom_step():
         n_free = dec.free_nodes(side).size
         Q, _ = np.linalg.qr(rng.standard_normal((n_free, n_free)))
         for supg in (False, True):
-            ops, rops = reduced_pair(dec, side, Q, nu=1e-3, dt=0.05,
+            ops, rops = reduced_pair(dec, side, Q, Q, nu=1e-3, dt=0.05,
                                      supg_on=supg)
             u_prev = rng.standard_normal(n_free)
             g = rng.standard_normal(dec.n_control)
@@ -266,7 +266,7 @@ def test_reduced_adjoint_is_transpose_of_reduced_state():
     n_free = dec.free_nodes(2).size
     Psi, _ = np.linalg.qr(rng.standard_normal((n_free, 7)))
     for supg in (False, True):
-        ops, rops = reduced_pair(dec, 2, Psi, nu=1e-3, dt=0.02, supg_on=supg)
+        ops, rops = reduced_pair(dec, 2, Psi, Psi, nu=1e-3, dt=0.02, supg_on=supg)
         reduced = Psi.T @ (ops.state_matrix() @ Psi)
         Y = rops.response.Y
         np.testing.assert_allclose(reduced.T @ Y, rops.PsiT_Mg0, rtol=0, atol=1e-12)

@@ -380,7 +380,7 @@ def test_state_matrices_are_column_major_and_layout_free(tmp_path, source):
 
 def test_mgd_validates_inputs():
     prob = desk_problem(n_steps=2)
-    traj = fom.monolithic_solve(prob)
+    traj = fom.monolithic_solve(prob, supg_on=False)
     states = snapshots.split_monolithic_snapshots(traj, prob.decomposition)
     cfg = coupling.CouplingConfig()
     with pytest.raises(ValueError):
@@ -395,6 +395,6 @@ def test_mgd_validates_inputs():
     # a store of another level has the step count but not the free DOFs
     other = desk_problem(n_steps=2, level=10)
     wrong_level = snapshots.split_monolithic_snapshots(
-        fom.monolithic_solve(other), other.decomposition)
+        fom.monolithic_solve(other, supg_on=False), other.decomposition)
     with pytest.raises(ValueError, match="rows"):
         snapshots.collect_mgd(prob, wrong_level, 1, cfg)
