@@ -45,27 +45,27 @@ run carries no penalty.
 
 While its trials are accepted at one step size alpha, a step iterates the
 fixed map g <- T g + c (T = (1 - alpha delta) I - alpha G R, c = -alpha
-G j0), and ``DescentBlocks`` prices a run of such trials at once. Blocks
-engage after BLOCK_PREFIX accepts in a row, when the rate at which J falls
-says that at least BLOCK_MIN more trials are needed, and once the run has
-paid for the stack of that alpha (BLOCK_CAP x n_control x 2 n_control
-doubles, 1 MB at n_control = 63, built once per alpha per run, after
-STACK_PAYBACK n_control trials a block could have priced). A block of b
-iterates costs one gemv with the b n x 2n stack, one b x n x 2n gemm (half
-of it with delta = 0), one gemv for the b values of J, and, for the last
-accepted iterate, the products of one trial: the step's J always comes
-from those products, so the tol decision is the sequential one. Two gemv
-per step (G j0 and L^T j0) set the first block up. The blocks accept only
-falls of J by more than BLOCK_RTOL, so a rise, a tie, a J that is not
-finite, a tol crossing or the end of the block hands the step back to the
-sequential loop with the same direction and the same halving. Descents
-with a recorder or recorded history, and calls without blocks, run the
-sequential loop only and keep its bits. The coupled march agrees with
-them to roundoff, with the same trials, directions and stops on every
-report row at levels 16 to 64; on a descent that stalls at roundoff a
-block's last bits can flip a later rise, tie or equal-g decision (over 44
-level-64 steps of a 100-mode state with 40 MGD1 adjoint modes: 34
-max_iters and 2 stagnated stops blocked, 33 and 3 sequential).
+G j0), and ``DescentBlocks`` prices a run of such trials at once. After
+any accepted trial, if at the rate it took J down at least BLOCK_MIN more
+trials are needed, a block prices that many, up to BLOCK_CAP. A step
+size's stack (up to BLOCK_CAP x n_control x 2 n_control doubles, 1 MB at
+n_control = 63) grows a row at a time as its blocks reach it, and is kept
+for the run. A block of b iterates costs one gemv with the b n x 2n stack,
+one b x n x 2n gemm (half of it with delta = 0), one gemv for the b values
+of J, and, for the last accepted iterate, the products of one trial: the
+step's J always comes from those products, so the tol decision is the
+sequential one. Two gemv per step (G j0 and L^T j0) set the first block
+up. A block accepts only falls of J by more than BLOCK_RTOL; one that
+meets a rise, a tie or a J that is not finite before its end or a tol
+crossing is dropped whole, and the step goes on from the iterate before
+it in the sequential loop, with the same direction and halving and no
+further block. Descents with a recorder or recorded history, and calls
+without blocks, run the sequential loop only and keep its bits. The
+coupled march agrees with them to roundoff, with the same trials,
+directions and stops on every report row at levels 16 to 64; on a descent
+that stalls at roundoff a block's last bits can flip a later decision
+(over 44 level-64 steps of a 100-mode state with 40 MGD1 adjoint modes,
+381521 trials blocked and 372771 sequential, with the same stops).
 """
 
 from __future__ import annotations
@@ -175,34 +175,32 @@ def write_pair(spans, jump: np.ndarray, out, col: int) -> None:
 # 2-core x86 host, at n_control = 31 (63): a sequential trial with its
 # direction costs 5.0 us (6.9 us); pricing a block of 4 iterates 7.7 us
 # (12 us), of 16 iterates 13 us (34 us), plus about 3 us to price the last
-# accepted one as a trial; one step size's stack takes 0.16 ms (0.59 ms) to
-# build. A block's J agreed with the trial-priced J of its iterate to
-# 1.3e-10 relative over the level-32 and level-64 report rows.
-BLOCK_PREFIX = 3   # trials accepted in a row at one alpha before a block
+# accepted one as a trial; one step size's full stack takes 0.16 ms
+# (0.59 ms) to build. A block's J agreed with the trial-priced J of its
+# iterate to 1.3e-10 relative over the level-32 and level-64 report rows.
+# A block that fails is dropped and ends its step's blocks: a descent that
+# stalls would otherwise keep pricing blocks that fail, and the bits of a
+# failed block's iterates could flip the loop's later decisions at roundoff.
 BLOCK_MIN = 4      # fewest iterates worth a block
 BLOCK_CAP = 16     # most iterates per block; 32 cost more than they saved
-STACK_PAYBACK = 4  # a stack waits for 4 n_control trials a block could price
 BLOCK_RTOL = 1e-6  # margin of a block's decisions over its roundoff
 
 
-def _block_size(obj: float, last: float, streak: int, tol: float, left: int) -> int:
+def _block_size(obj: float, last: float, tol: float, left: int) -> int:
     """Iterates for the next block, or 0 to stay sequential.
 
     The last accepted trial took J from ``last`` to ``obj``; at that rate
     the step needs about log(tol / obj) / log(obj / last) more trials. If
     that is fewer than BLOCK_MIN the loop stays sequential. Otherwise a
-    block prices that many, and at least one more than the ``streak`` of
-    accepts so far, since the rate tends to slow, within BLOCK_CAP and the
-    ``left`` trials the cap allows.
+    block prices that many, within BLOCK_CAP and the ``left`` trials the
+    cap allows.
     """
     size = min(BLOCK_CAP, left)
     rate = obj / last
     if rate < 1.0:  # a rate that underflows to 0 reaches tol at the next trial
         needed = (math.ceil((math.log(tol) - math.log(obj)) / math.log(rate))
                   if rate > 0.0 else 1)
-        if needed < BLOCK_MIN:
-            return 0
-        size = min(size, max(needed, streak + 1))
+        size = min(size, needed)
     return size if size >= BLOCK_MIN else 0
 
 
@@ -216,31 +214,17 @@ class DescentBlocks:
     [T^k | S_k], k = 1..BLOCK_CAP, so one gemv with [g; c] gives a block of
     iterates. With M_g = L L^T, J = 1/2 |L^T jump|^2 + delta/2 |L^T g|^2,
     so one gemm with the maps [L^T R; sqrt(delta) L^T] and one gemv price
-    the whole block. A step size's stack is built once the run has made
-    STACK_PAYBACK * n_control sequential trials at that alpha that a block
-    could have priced, and is kept until the run ends. M_g must be
+    the whole block. The buffers shared by all step sizes are set up when
+    the run's first block begins, and a step size's stack grows as its
+    blocks need rows; both are kept until the run ends. M_g must be
     symmetric positive definite.
     """
 
     def __init__(self, R: np.ndarray, G: np.ndarray, M_g: np.ndarray, delta: float):
         self._R, self._G, self._M_g, self._delta = R, G, M_g, delta
         self._n = R.shape[0]
-        self._stacks: dict[float, np.ndarray] = {}
-        self._waiting: dict[float, int] = {}  # alpha -> trials before its stack
-
-    def ready(self, alpha: float) -> bool:
-        """Whether blocks can run at step size alpha. False counts one
-        sequential trial towards the stack's cost; the call that finds it
-        paid for builds it."""
-        if alpha not in self._stacks:
-            waited = self._waiting.get(alpha, 0)
-            if waited < STACK_PAYBACK * self._n:
-                self._waiting[alpha] = waited + 1
-                return False
-            if not self._stacks:
-                self._allocate()
-            self._stacks[alpha] = self._build(alpha)
-        return True
+        self._stacks: dict[float, list] = {}
+        self._Gj0 = None  # the shared buffers, until the first block
 
     def _allocate(self):
         n, delta = self._n, self._delta
@@ -259,42 +243,51 @@ class DescentBlocks:
         self._half = np.full(width, 0.5)
         self._values = np.empty(BLOCK_CAP)
 
-    def _build(self, alpha: float) -> np.ndarray:
+    def _stack(self, alpha: float, size: int) -> np.ndarray:
+        """The stack of alpha, grown a row (one n x n product) at a time
+        to at least ``size`` rows."""
         n = self._n
-        T = self._GR * -alpha
-        T.flat[::n + 1] += 1.0 - alpha * self._delta
-        powers = np.empty((BLOCK_CAP, n, n))
-        powers[0] = T
-        for k in range(1, BLOCK_CAP):
-            np.matmul(powers[k - 1], T, out=powers[k])
-        stack = np.empty((BLOCK_CAP, n, 2 * n))
-        stack[:, :, :n] = powers
-        stack[0, :, n:] = np.eye(n)
-        np.cumsum(powers[:-1], axis=0, out=stack[1:, :, n:])
-        stack[1:, :, n:] += np.eye(n)
+        entry = self._stacks.get(alpha)
+        if entry is None:
+            T = self._GR * -alpha
+            T.flat[::n + 1] += 1.0 - alpha * self._delta
+            stack = np.empty((BLOCK_CAP, n, 2 * n))
+            stack[0, :, :n] = T
+            stack[0, :, n:] = np.eye(n)
+            # [stack, rows built, T, T^rows, T + ... + T^(rows - 1)]
+            entry = self._stacks[alpha] = [stack, 1, T, T, np.zeros((n, n))]
+        stack, built, T, power, total = entry
+        for k in range(built, size):
+            total += power
+            power = power @ T
+            stack[k, :, :n] = power
+            np.add(total, stack[0, :, n:], out=stack[k, :, n:])  # + I
+            entry[1], entry[3] = k + 1, power
         return stack.reshape(BLOCK_CAP * n, 2 * n)
 
     def begin(self, j0: np.ndarray):
         """Take a step's j0, before its first block."""
+        if self._Gj0 is None:
+            self._allocate()
         np.dot(self._G, j0, out=self._Gj0)
         np.dot(self._LT, j0, out=self._offsets[:self._n])
 
     def advance(self, g: np.ndarray, alpha: float, size: int, obj: float,
                 tol: float) -> int:
-        """Price the next ``size`` iterates from g (whose J is obj) at a
-        step size alpha that is ``ready``.
+        """Price the next ``size`` iterates from g (whose J is obj) at step
+        size alpha, after ``begin``.
 
-        Accepts the longest run of iterates whose J falls by more than
-        BLOCK_RTOL at each step, ending at the first whose J may be below
-        tol. Writes the last accepted iterate into g and returns how many
-        were accepted; a rise, a tie within the margin or a J that is not
-        finite ends the run.
+        Accepts the iterates while each J falls by more than BLOCK_RTOL,
+        up to ``size`` of them or to the first whose J may be below tol;
+        writes the last accepted iterate into g and returns how many were
+        accepted. A rise, a tie within the margin or a J that is not finite
+        before that fails the block: it returns 0 and leaves g as it was.
         """
         n, gc = self._n, self._gc
+        stack = self._stack(alpha, size)
         gc[:n] = g
         np.multiply(self._Gj0, -alpha, out=gc[n:])
-        iterates = np.dot(self._stacks[alpha][:size * n], gc,
-                          out=self._iterates[:size * n])
+        iterates = np.dot(stack[:size * n], gc, out=self._iterates[:size * n])
         iterates = iterates.reshape(size, n)
         priced = np.dot(iterates, self._maps, out=self._priced[:size])
         priced += self._offsets
@@ -304,13 +297,12 @@ class DescentBlocks:
         accepted = 0
         for value in values:
             if not value < obj * shrink:
-                break
+                return 0
             accepted += 1
             if value < below:
                 break
             obj = value
-        if accepted:
-            g[:] = iterates[accepted - 1]
+        g[:] = iterates[accepted - 1]
         return accepted
 
 
@@ -369,7 +361,7 @@ def descent_timestep(j0: np.ndarray, R: np.ndarray, G: np.ndarray, g0: np.ndarra
     stop = None
     if recorder is not None or accepted is not None:
         blocks = None  # both need every direction and J: keep the loop
-    streak = 0  # trials accepted in a row at this alpha
+    after_accept = False  # the last trial was accepted
     last = obj  # J before the last accepted trial
     stepped = False  # blocks has taken this step's j0
 
@@ -377,9 +369,9 @@ def descent_timestep(j0: np.ndarray, R: np.ndarray, G: np.ndarray, g0: np.ndarra
     # RuntimeWarnings are silenced rather than raised
     with np.errstate(over="ignore", invalid="ignore"):
         while obj >= tol and iterations < config.max_iters:
-            if blocks is not None and streak >= BLOCK_PREFIX:
-                size = _block_size(obj, last, streak, tol, config.max_iters - iterations)
-                if size and blocks.ready(alpha):
+            if blocks is not None and after_accept:
+                size = _block_size(obj, last, tol, config.max_iters - iterations)
+                if size:
                     if not stepped:
                         blocks.begin(j0)
                         stepped = True
@@ -398,8 +390,8 @@ def descent_timestep(j0: np.ndarray, R: np.ndarray, G: np.ndarray, g0: np.ndarra
                         directions += m
                         # so that obj / last is the block's mean rate
                         last = before ** (1.0 / m) * obj ** (1.0 - 1.0 / m)
-                    # after a short block the loop decides the next trials
-                    streak = streak + m if m == size else 0
+                    else:  # it failed: the rest of the step runs the loop
+                        blocks = None
                     continue
 
             if not fresh:
@@ -426,7 +418,7 @@ def descent_timestep(j0: np.ndarray, R: np.ndarray, G: np.ndarray, g0: np.ndarra
                 # reject: halve the step, keep the current iterate and direction
                 alpha *= 0.5
                 reductions += 1
-                streak = 0
+                after_accept = False
                 continue
             # J is a function of g, so an unchanged g shows first as an equal J
             if obj_try == obj and np.array_equal(g_try, g):
@@ -436,7 +428,7 @@ def descent_timestep(j0: np.ndarray, R: np.ndarray, G: np.ndarray, g0: np.ndarra
             g, g_try = g_try, g
             last, obj = obj, obj_try
             fresh = False
-            streak += 1
+            after_accept = True
             if accepted is not None:
                 accepted.append(obj)
 
@@ -495,9 +487,10 @@ def run_transient(problem: ProblemSpec, config: CouplingConfig, *,
 
     ``state_rops`` / ``adjoint_rops`` select the model per subdomain: a
     ReducedOperatorSet runs that half of the side reduced (InputError if it
-    lacks it), None runs it full order on ``problem.operators(side,
-    config.supg_on)``. Reduced and full halves mix freely. ``recorder`` goes
-    to ``descent_timestep`` as is: it receives (step, jump) per direction.
+    lacks it or was reduced on the other side's interface), None runs it
+    full order on ``problem.operators(side, config.supg_on)``. Reduced and
+    full halves mix freely. ``recorder`` goes to ``descent_timestep`` as
+    is: it receives (step, jump) per direction.
     """
     dec = problem.decomposition
     n_steps = problem.n_steps
@@ -506,6 +499,11 @@ def run_transient(problem: ProblemSpec, config: CouplingConfig, *,
             raise InputError(f"side {side}: the state model holds no state half")
         if arops is not None and arops.response.Y is None:
             raise InputError(f"side {side}: the adjoint model holds no adjoint half")
+        for role, rops in (("state", srops), ("adjoint", arops)):
+            if rops is not None and not np.array_equal(rops.response.trace_free,
+                                                       dec.trace_free(side)):
+                raise InputError(f"side {side}: the {role} model was reduced on "
+                                 "another side's interface")
 
     ops = [problem.operators(side, config.supg_on)
            if state_rops[side - 1] is None or adjoint_rops[side - 1] is None

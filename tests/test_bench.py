@@ -142,6 +142,23 @@ def test_level_16_report_keeps_its_decisions():
         ("rs-fa-50", 10475, True), ("rom-rom-100-50", 1218, True)]
 
 
+def test_level_32_report_keeps_its_decisions(monkeypatch):
+    # report --level 32 over a full turn: the full-order row's trials and
+    # every row's stops are pinned. The reduced rows' totals follow the
+    # state POD's bits, which move with the BLAS (41040, 91867 and 41040
+    # with one OpenBLAS thread on x86-64, 40620, 91866 and 40620 with two),
+    # so they are held to the same rows run without blocks
+    ctx = bench.ExperimentContext(bench.BenchmarkSpec(level=32))
+    entries = bench.standard_entries()
+    rows = [ctx.run_entry(entry)[0] for entry in entries]
+    monkeypatch.setattr(coupling, "_block_size", lambda *args: 0)
+    sequential = [ctx.run_entry(entry)[0] for entry in entries[1:]]
+    assert (rows[0].label, rows[0].total_iterations) == ("fom-fom", 25659)
+    assert all(r.stop_counts == {"tol": 1400} for r in rows)
+    assert ([(r.label, r.total_iterations, r.stop_counts) for r in rows[1:]]
+            == [(r.label, r.total_iterations, r.stop_counts) for r in sequential])
+
+
 def test_experiment_context_smoke(tmp_path):
     spec = bench.BenchmarkSpec(level=8, nu=1e-3, dt=5e-2, T=0.5,
                                config=coupling.CouplingConfig(delta=1e-12, tol=1e-10))

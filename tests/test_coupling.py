@@ -1,5 +1,4 @@
 import dataclasses
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -387,16 +386,15 @@ REGIMES = [(1.0, (0.2, 0.9)), (2.0, (0.4, 1.6)), (2.0, (0.989, 1.02))]
 def test_blocked_descent_takes_the_sequential_decisions(n, seed, regime, delta,
                                                         digits, max_iters):
     # the same trials, directions, halvings and stop as the sequential loop,
-    # with the control equal to roundoff; stacks are built at once
+    # with the control equal to roundoff
     alpha0, spread = regime
     j0, R, G, g0, M_g = contracting_instance(seed, n, spread)
     J0 = coupling._objective_from_jump(j0 + R @ g0, g0, delta, M_g)
     cfg = coupling.CouplingConfig(delta=delta, tol=J0 * 10.0 ** -digits,
                                   alpha0=alpha0, max_iters=max_iters)
     g_seq, seq = coupling.descent_timestep(j0, R, G, g0, cfg, M_g)
-    with mock.patch.object(coupling, "STACK_PAYBACK", 0):
-        g_blk, blk = coupling.descent_timestep(
-            j0, R, G, g0, cfg, M_g, blocks=coupling.DescentBlocks(R, G, M_g, delta))
+    g_blk, blk = coupling.descent_timestep(
+        j0, R, G, g0, cfg, M_g, blocks=coupling.DescentBlocks(R, G, M_g, delta))
     assert ((blk.iterations, blk.directions, blk.alpha_reductions, blk.stop_reason)
             == (seq.iterations, seq.directions, seq.alpha_reductions, seq.stop_reason))
     assert np.abs(g_blk - g_seq).max() <= BLOCKED_RTOL * np.abs(g_seq).max()
@@ -413,7 +411,6 @@ def test_blocked_descent_stops_at_the_cap(monkeypatch, regime):
     # trial, with T's eigenvalues near 1 or near -1
     alpha0, spread = regime
     j0, R, G, g0, M_g = contracting_instance(7, 8, spread)
-    monkeypatch.setattr(coupling, "STACK_PAYBACK", 0)
     priced = spy_blocks(monkeypatch)
     cfg = coupling.CouplingConfig(delta=1e-16, tol=1e-300, alpha0=alpha0)
     full = coupling.descent_timestep(j0, R, G, g0, cfg, M_g)[1].iterations
@@ -431,13 +428,31 @@ def test_blocked_descent_stops_at_the_cap(monkeypatch, regime):
     assert priced
 
 
+def test_a_stack_grown_in_pieces_is_the_stack_grown_at_once():
+    # blocks grow a step size's stack only as far as they reach; its rows
+    # [T^k | I + T + ... + T^(k-1)] keep the bits of a stack grown at once
+    j0, R, G, g0, M_g = contracting_instance(5, 7, (0.4, 1.6))
+    n, alpha, delta = 7, 0.75, 1e-16
+    whole, pieces = (coupling.DescentBlocks(R, G, M_g, delta) for _ in range(2))
+    for blocks in (whole, pieces):
+        blocks.begin(j0)
+    want = whole._stack(alpha, coupling.BLOCK_CAP).copy()
+    for size in (4, 5, 5, 9, coupling.BLOCK_CAP):
+        got = pieces._stack(alpha, size)
+        assert np.array_equal(got[:size * n], want[:size * n])
+    T = (1.0 - alpha * delta) * np.eye(n) - alpha * G @ R
+    power, total = np.eye(n), np.zeros((n, n))
+    for rows in want.reshape(coupling.BLOCK_CAP, n, 2 * n):
+        total, power = total + power, power @ T
+        np.testing.assert_allclose(rows, np.hstack([power, total]), rtol=1e-12, atol=1e-12)
+
+
 @settings(max_examples=300, deadline=None)
 @given(obj=st.floats(1e-300, 1e300), rate=st.floats(0.0, 2.0),
-       streak=st.integers(0, 10**6), tol=st.floats(1e-300, 1e300),
-       left=st.integers(1, 10**6))
-def test_block_size_stays_within_the_cap_and_its_bounds(obj, rate, streak, tol, left):
+       tol=st.floats(1e-300, 1e300), left=st.integers(1, 10**6))
+def test_block_size_stays_within_the_cap_and_its_bounds(obj, rate, tol, left):
     last = obj / rate if rate > 0.0 else np.inf
-    size = coupling._block_size(obj, last, streak, min(tol, obj), left)
+    size = coupling._block_size(obj, last, min(tol, obj), left)
     assert size == 0 or coupling.BLOCK_MIN <= size <= min(coupling.BLOCK_CAP, left)
 
 
@@ -445,7 +460,6 @@ def test_a_block_ending_near_tol_hands_the_step_back(monkeypatch):
     # with a margin this wide a block stops at the first iterate whose J is
     # below 1.5 tol; when its J, priced again the sequential way, is not
     # below tol, the loop continues and decides as the sequential one would
-    monkeypatch.setattr(coupling, "STACK_PAYBACK", 0)
     monkeypatch.setattr(coupling, "BLOCK_RTOL", 0.5)
     handed_back = 0
     advance = coupling.DescentBlocks.advance
@@ -470,11 +484,30 @@ def test_a_block_ending_near_tol_hands_the_step_back(monkeypatch):
     assert handed_back > 0
 
 
+@pytest.mark.parametrize("seed", [0, 30])
+def test_a_block_stopped_by_a_rise_ends_the_steps_blocks(monkeypatch, seed):
+    # the step's first block meets a rise, at its first iterate (seed 0) or
+    # after one fall (seed 30), and is dropped whole; the step goes on for
+    # dozens to hundreds of trials in the sequential loop, prices no other
+    # block and so returns the sequential loop's bits
+    priced = spy_blocks(monkeypatch)
+    j0, R, G, g0, M_g = contracting_instance(seed, 6, (0.4, 1.6))
+    J0 = coupling._objective_from_jump(j0 + R @ g0, g0, 0.0, M_g)
+    cfg = coupling.CouplingConfig(delta=0.0, tol=J0 * 1e-12, alpha0=2.0,
+                                  max_iters=2000)
+    g_seq, seq = coupling.descent_timestep(j0, R, G, g0, cfg, M_g)
+    g_blk, blk = coupling.descent_timestep(
+        j0, R, G, g0, cfg, M_g, blocks=coupling.DescentBlocks(R, G, M_g, 0.0))
+    [(size, accepted)] = priced
+    assert accepted == 0 and blk.iterations > 3 * size
+    assert blk == dataclasses.replace(seq, wall_time=blk.wall_time)
+    assert seq.stop_reason == "tol" and np.array_equal(g_blk, g_seq)
+
+
 @pytest.mark.parametrize("history", [True, False])
 def test_recording_descents_ignore_blocks_bitwise(monkeypatch, history):
     # GDRA's recorder and record_history need every direction and every J,
     # so with either the descent runs the sequential loop, stacks or not
-    monkeypatch.setattr(coupling, "STACK_PAYBACK", 0)
     priced = spy_blocks(monkeypatch)
     j0, R, G, g0, M_g = contracting_instance(3, 8, (0.985, 0.995))
     cfg = coupling.CouplingConfig(delta=1e-16, tol=1e-12, record_history=history)
@@ -496,7 +529,6 @@ def test_march_with_recorded_history_matches_the_oracle_bitwise(desk_reduced_mod
     # criterion 9's setting: accepted objectives kept, no recorder; the
     # march builds no stacks and returns the oracle march's bits
     prob, rops = desk_reduced_models
-    monkeypatch.setattr(coupling, "STACK_PAYBACK", 0)
     priced = spy_blocks(monkeypatch)
     cfg = coupling.CouplingConfig(supg_on=True, max_iters=500, record_history=True)
     kw = {"state_rops": (rops[0], None), "adjoint_rops": (None, rops[1])}
@@ -789,6 +821,20 @@ def test_a_reduced_half_serves_only_its_own_role():
         coupling.run_transient(prob, cfg, state_rops=(None, adjoint_only))
     res = coupling.run_transient(prob, cfg, state_rops=(state_only, None),
                                  adjoint_rops=(adjoint_only, None))
+    assert np.isfinite(res.final_1).all() and np.isfinite(res.final_2).all()
+
+
+def test_a_reduced_set_serves_only_its_own_side(desk_reduced_models):
+    # the sides' sets have the same shapes at level 8, so only their
+    # interface indices tell swapped ones apart; either role refuses them
+    prob, rops = desk_reduced_models
+    swapped = rops[::-1]
+    cfg = coupling.CouplingConfig(supg_on=True, max_iters=500)
+    for role in ("state", "adjoint"):
+        with pytest.raises(InputError, match=f"side 1: the {role} model was reduced "
+                                             "on another side's interface"):
+            coupling.run_transient(prob, cfg, **{f"{role}_rops": swapped})
+    res = coupling.run_transient(prob, cfg, state_rops=rops, adjoint_rops=rops)
     assert np.isfinite(res.final_1).all() and np.isfinite(res.final_2).all()
 
 
